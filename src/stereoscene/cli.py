@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import captions as cap
-from . import pipeline
+from . import metrics, pipeline
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .acoustics import stereo_rir_for
 from .render import crop_pad, mix_scene, render_moving
@@ -52,7 +52,7 @@ def _cmd_evaluate(args) -> int:
         ext = (args.external_gen, args.external_ref)
     try:
         report = pipeline.evaluate(args.generated, args.reference, external_embeddings=ext)
-    except pipeline.ManifestError as exc:
+    except (pipeline.ManifestError, metrics.MetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out_json:

@@ -24,6 +24,7 @@ EMBED_DIM = 2560
 _EMBED_LAGS = 64
 _EMBED_BANDS = 8
 _EMBED_TIME_BUCKETS = 16
+_GCC_BLOCK = 16  # valid windows per stacked GCC-PHAT call
 
 
 class MetricError(ValueError):
@@ -33,40 +34,38 @@ class MetricError(ValueError):
 # ---------------------------------------------------------------------------
 # GCC-PHAT
 # ---------------------------------------------------------------------------
-def _phat_spectrum(a: np.ndarray, b: np.ndarray, nfft: int) -> np.ndarray:
-    fa = np.fft.rfft(a, n=nfft)
-    fb = np.fft.rfft(b, n=nfft)
+def _phat_lags(fa: np.ndarray, fb: np.ndarray, nfft: int, interp: int,
+               max_shift: int) -> np.ndarray:
+    """PHAT cross-correlation of two spectra at lags -max_shift..max_shift (interp grid)."""
     g = fa * np.conj(fb)
-    mag = np.abs(g)
-    return g / np.maximum(mag, PHAT_EPS)
-
-
-def _lag_vector(w: np.ndarray, nfft: int, interp: int, max_shift: int) -> np.ndarray:
-    """Cross-correlation sampled at lags -max_shift..max_shift (interp grid)."""
-    cc = np.fft.irfft(w, n=nfft * interp)
-    return np.concatenate([cc[-max_shift:], cc[: max_shift + 1]])
+    cc = np.fft.irfft(g / np.maximum(np.abs(g), PHAT_EPS), n=nfft * interp)
+    return np.concatenate([cc[..., -max_shift:], cc[..., : max_shift + 1]], axis=-1)
 
 
 def gcc_phat_correlation(frame_left, frame_right, fs: int,
                          max_lag_s: float = MAX_LAG_S, interp: int = GCC_INTERP):
     """PHAT-whitened cross-correlation over +-max_lag_s.
 
-    Returns (lags_seconds, correlation). Built symmetrically from both
-    channel orders, so swapping the channels reverses the vector exactly.
+    Frames are 1-D, or 2-D stacks with one frame per row. Returns
+    (lags_seconds, correlation) with the lags on the last axis. Built
+    symmetrically from both channel orders, so swapping the channels
+    reverses the lag axis exactly.
     """
     a = np.asarray(frame_left, dtype=np.float64)
     b = np.asarray(frame_right, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise MetricError("frames must be equal-length 1-D arrays")
+    if a.shape != b.shape or a.ndim not in (1, 2):
+        raise MetricError("frames must be equal-shape 1-D frames or 2-D stacks of frames")
     max_shift = int(round(max_lag_s * fs * interp))
-    if a.size * interp < 2 * max_shift:
+    if a.shape[-1] * interp < 2 * max_shift:
         raise MetricError("frame too short for the requested lag range")
-    if not (np.any(a) or np.any(b)):
+    if not np.all(np.any(a, axis=-1) | np.any(b, axis=-1)):
         raise MetricError("all-zero frame (gate silence upstream)")
-    nfft = 2 * a.size
-    v1 = _lag_vector(_phat_spectrum(a, b, nfft), nfft, interp, max_shift)
-    v2 = _lag_vector(_phat_spectrum(b, a, nfft), nfft, interp, max_shift)
-    cc = 0.5 * (v1 + v2[::-1])
+    nfft = 2 * a.shape[-1]
+    fa = np.fft.rfft(a, n=nfft)
+    fb = np.fft.rfft(b, n=nfft)
+    v1 = _phat_lags(fa, fb, nfft, interp, max_shift)
+    v2 = _phat_lags(fb, fa, nfft, interp, max_shift)
+    cc = 0.5 * (v1 + v2[..., ::-1])
     lags = np.arange(-max_shift, max_shift + 1) / (fs * interp)
     return lags, cc
 
@@ -92,6 +91,8 @@ class TdoaWindow:
 class TdoaSeries:
     windows: tuple[TdoaWindow, ...]
     window_s: float = TDOA_WINDOW_S
+    # one row per valid window: 64 correlogram lags, 8 + 8 log band energies
+    features: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def valid_values(self) -> np.ndarray:
         return np.array([w.tdoa_s for w in self.windows if w.valid])
@@ -112,33 +113,78 @@ class TdoaSeries:
             return None
         return float(np.mean(np.abs(vals)) * 1e3)
 
+    def embedding(self) -> np.ndarray:
+        """The window features pooled into the 2560-d ``default_embed`` vector."""
+        if self.features is None:
+            raise MetricError("series carries no window features")
+        mat = self.features  # (W, 80)
+        n = mat.shape[0]
+        if n == 0:
+            return np.zeros(EMBED_DIM)
+        pooled_mean, pooled_max = [], []
+        for b in range(_EMBED_TIME_BUCKETS):
+            lo = (b * n) // _EMBED_TIME_BUCKETS
+            hi = max(lo + 1, ((b + 1) * n + _EMBED_TIME_BUCKETS - 1) // _EMBED_TIME_BUCKETS)
+            bucket = mat[lo:min(hi, n)]
+            pooled_mean.append(bucket.mean(axis=0))
+            pooled_max.append(bucket.max(axis=0))
+        return np.concatenate([np.concatenate(pooled_mean), np.concatenate(pooled_max)])
+
+
+def _log_band_energies(frames: np.ndarray, fs: int) -> np.ndarray:
+    """Log energy per frame in geometric bands from 50 Hz to Nyquist."""
+    spec = np.abs(np.fft.rfft(frames)) ** 2
+    top = spec.shape[-1] - 1
+    freqs = np.geomspace(50.0, fs / 2.0, _EMBED_BANDS + 1)
+    edges = np.clip(np.round(freqs / (fs / 2.0) * top).astype(int), 1, top)
+    sums = [spec[:, lo:hi].sum(axis=1) for lo, hi in zip(edges[:-1], edges[1:])]
+    return np.log10(np.stack(sums, axis=1) + 1e-12)
+
 
 def tdoa_series(stereo: AudioBuffer, window_s: float = TDOA_WINDOW_S,
                 gate_dbfs: float = SILENCE_GATE_DBFS, max_lag_s: float = MAX_LAG_S,
                 interp: int = GCC_INTERP) -> TdoaSeries:
-    """Per-window TDOA with silence gating.
+    """Per-window TDOA with silence gating, in one pass over the clip.
 
     A window is valid when the louder channel's RMS reaches ``gate_dbfs``;
-    only valid windows get a GCC-PHAT estimate.
+    only valid windows get a GCC-PHAT estimate and a feature row (the
+    peak-normalised correlogram at 64 lags over +-max_lag_s, then 8 log band
+    energies per channel). Valid windows go through GCC-PHAT in stacks of
+    ``_GCC_BLOCK``, which bounds the interpolated correlation buffers.
     """
     if stereo.channels != 2:
         raise MetricError("tdoa_series expects a stereo buffer")
     fs = stereo.sample_rate
     win = int(round(window_s * fs))
-    gate_rms = 10.0 ** (gate_dbfs / 20.0)
-    left = stereo.channel(0)
-    right = stereo.channel(1)
-    out = []
-    for start in range(0, stereo.n_samples - win + 1, win):
-        seg_l = left[start:start + win]
-        seg_r = right[start:start + win]
-        rms = max(float(np.sqrt(np.mean(seg_l ** 2))), float(np.sqrt(np.mean(seg_r ** 2))))
-        if rms >= gate_rms:
-            tau = gcc_phat(seg_l, seg_r, fs, max_lag_s, interp)
-            out.append(TdoaWindow(start_s=start / fs, tdoa_s=tau, valid=True))
-        else:
-            out.append(TdoaWindow(start_s=start / fs, tdoa_s=0.0, valid=False))
-    return TdoaSeries(windows=tuple(out), window_s=window_s)
+    n_win = stereo.n_samples // win
+    left = stereo.channel(0)[:n_win * win].reshape(n_win, win)
+    right = stereo.channel(1)[:n_win * win].reshape(n_win, win)
+    rms = np.maximum(np.sqrt(np.mean(left ** 2, axis=1)), np.sqrt(np.mean(right ** 2, axis=1)))
+    valid = rms >= 10.0 ** (gate_dbfs / 20.0)
+
+    rows = np.flatnonzero(valid)
+    tdoa = np.zeros(n_win)
+    features = np.empty((rows.size, _EMBED_LAGS + 2 * _EMBED_BANDS))
+    lag_grid = np.linspace(-max_lag_s, max_lag_s, _EMBED_LAGS)
+    for lo in range(0, rows.size, _GCC_BLOCK):
+        block = rows[lo:lo + _GCC_BLOCK]
+        seg_l, seg_r = left[block], right[block]
+        lags, cc = gcc_phat_correlation(seg_l, seg_r, fs, max_lag_s, interp)
+        mag = np.abs(cc)
+        tdoa[block] = lags[np.argmax(mag, axis=1)]
+        peak = mag.max(axis=1, keepdims=True)
+        cc = cc / np.where(peak > 0, peak, 1.0)
+        # linear interpolation onto the lag grid, as np.interp does per row
+        pos = np.interp(lag_grid, lags, np.arange(lags.size))
+        i0 = np.minimum(pos.astype(int), lags.size - 2)
+        frac = pos - i0
+        corr = cc[:, i0] + frac * (cc[:, i0 + 1] - cc[:, i0])
+        features[lo:lo + block.size] = np.concatenate(
+            [corr, _log_band_energies(seg_l, fs), _log_band_energies(seg_r, fs)], axis=1)
+
+    starts = (np.arange(n_win) * win / fs).tolist()
+    windows = tuple(map(TdoaWindow, starts, tdoa.tolist(), valid.tolist()))
+    return TdoaSeries(windows=windows, window_s=window_s, features=features)
 
 
 # ---------------------------------------------------------------------------
@@ -198,56 +244,51 @@ def gcc_ma(series_set: dict[str, TdoaSeries]):
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class EmbeddingStats:
+    """Mean and centred sample matrix (count, dim) of an embedding set."""
+
     mean: np.ndarray
-    cov: np.ndarray
-    count: int
+    centred: np.ndarray
 
     def __post_init__(self):
         if self.count < 2:
             raise MetricError("need at least two embeddings for covariance")
-        if self.cov.shape != (self.mean.size, self.mean.size):
-            raise MetricError("covariance shape mismatch")
+        if self.centred.shape != (self.count, self.mean.size):
+            raise MetricError("centred sample matrix shape mismatch")
+
+    @property
+    def count(self) -> int:
+        return self.centred.shape[0]
+
+    @property
+    def cov(self) -> np.ndarray:
+        return self.centred.T @ self.centred / (self.count - 1)
 
     @staticmethod
     def from_embeddings(vectors: np.ndarray) -> "EmbeddingStats":
         x = np.asarray(vectors, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 2:
             raise MetricError("need a (n >= 2, dim) embedding matrix")
-        return EmbeddingStats(mean=x.mean(axis=0), cov=np.cov(x, rowvar=False), count=x.shape[0])
-
-
-def _sym_sqrt_psd(mat: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    sym = 0.5 * (mat + mat.T)
-    w, v = np.linalg.eigh(sym)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    if np.min(w) < -tol * scale:
-        raise MetricError(f"matrix is not PSD (min eigenvalue {np.min(w):.3g})")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
+        mean = x.mean(axis=0)
+        return EmbeddingStats(mean=mean, centred=x - mean)
 
 
 def frechet_distance(stats_a: EmbeddingStats, stats_b: EmbeddingStats) -> float:
-    """||mu_a - mu_b||^2 + Tr(Sa + Sb - 2 (Sa Sb)^(1/2)).
+    """||mu_a - mu_b||^2 + Tr(Sa + Sb - 2 (Sa Sb)^(1/2)), exactly.
 
-    The cross term uses the symmetric form sqrt(Sa^(1/2) Sb Sa^(1/2)) with
-    eigenvalues clamped at zero.
+    With centred sample matrices A, B and Sa = A^T A / (na - 1), the cross
+    term Tr((Sa Sb)^(1/2)) is the nuclear norm of A B^T over
+    sqrt((na - 1)(nb - 1)): Sa Sb shares its non-zero eigenvalues with
+    (A B^T)(A B^T)^T. Only an (na, nb) matrix is decomposed.
     """
     if stats_a.mean.size != stats_b.mean.size:
         raise MetricError("embedding dimensions differ")
-    a_half = _sym_sqrt_psd(stats_a.cov)
-    inner = a_half @ stats_b.cov @ a_half
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.T))
-    w = np.clip(w, 0.0, None)
+    a, b = stats_a.centred, stats_b.centred
+    na1, nb1 = stats_a.count - 1, stats_b.count - 1
+    cross = float(np.sum(np.linalg.svd(a @ b.T, compute_uv=False)))
     diff = stats_a.mean - stats_b.mean
-    val = float(diff @ diff + np.trace(stats_a.cov) + np.trace(stats_b.cov)
-                - 2.0 * np.sum(np.sqrt(w)))
+    val = float(diff @ diff + np.sum(a * a) / na1 + np.sum(b * b) / nb1
+                - 2.0 * cross / np.sqrt(na1 * nb1))
     return max(val, 0.0)
-
-
-def _band_edges(fs: int, n_rfft: int) -> np.ndarray:
-    # geometric bands from 50 Hz to Nyquist
-    freqs = np.geomspace(50.0, fs / 2.0, _EMBED_BANDS + 1)
-    return np.clip(np.round(freqs / (fs / 2.0) * (n_rfft - 1)).astype(int), 1, n_rfft - 1)
 
 
 def default_embed(stereo: AudioBuffer, window_s: float = TDOA_WINDOW_S,
@@ -255,62 +296,12 @@ def default_embed(stereo: AudioBuffer, window_s: float = TDOA_WINDOW_S,
     """Deterministic 2560-d stereo embedding.
 
     Per valid 0.1 s window: the PHAT correlogram sampled at 64 lags spanning
-    +-1 ms, plus 8 log band energies per channel. Windows are adaptively
-    pooled into 16 time buckets with mean and max: 80 x 16 x 2 = 2560 dims.
-    All-silent clips embed to the zero vector.
+    +-1 ms, plus 8 log band energies per channel (the ``tdoa_series``
+    features). Windows are adaptively pooled into 16 time buckets with mean
+    and max: 80 x 16 x 2 = 2560 dims. All-silent clips embed to the zero
+    vector.
     """
-    if stereo.channels != 2:
-        raise MetricError("default_embed expects a stereo buffer")
-    fs = stereo.sample_rate
-    win = int(round(window_s * fs))
-    gate_rms = 10.0 ** (gate_dbfs / 20.0)
-    left, right = stereo.channel(0), stereo.channel(1)
-
-    feats = []
-    lag_grid = np.linspace(-MAX_LAG_S, MAX_LAG_S, _EMBED_LAGS)
-    for start in range(0, stereo.n_samples - win + 1, win):
-        seg_l = left[start:start + win]
-        seg_r = right[start:start + win]
-        rms = max(float(np.sqrt(np.mean(seg_l ** 2))), float(np.sqrt(np.mean(seg_r ** 2))))
-        if rms < gate_rms:
-            continue
-        lags, cc = gcc_phat_correlation(seg_l, seg_r, fs)
-        peak = np.max(np.abs(cc))
-        corr = np.interp(lag_grid, lags, cc / peak if peak > 0 else cc)
-        spec_l = np.abs(np.fft.rfft(seg_l)) ** 2
-        spec_r = np.abs(np.fft.rfft(seg_r)) ** 2
-        edges = _band_edges(fs, spec_l.size)
-        bands_l = [np.log10(np.sum(spec_l[edges[i]:edges[i + 1]]) + 1e-12)
-                   for i in range(_EMBED_BANDS)]
-        bands_r = [np.log10(np.sum(spec_r[edges[i]:edges[i + 1]]) + 1e-12)
-                   for i in range(_EMBED_BANDS)]
-        feats.append(np.concatenate([corr, bands_l, bands_r]))
-
-    if not feats:
-        return np.zeros(EMBED_DIM)
-    mat = np.stack(feats)  # (W, 80)
-    n = mat.shape[0]
-    pooled_mean, pooled_max = [], []
-    for b in range(_EMBED_TIME_BUCKETS):
-        lo = (b * n) // _EMBED_TIME_BUCKETS
-        hi = max(lo + 1, ((b + 1) * n + _EMBED_TIME_BUCKETS - 1) // _EMBED_TIME_BUCKETS)
-        bucket = mat[lo:min(hi, n)]
-        pooled_mean.append(bucket.mean(axis=0))
-        pooled_max.append(bucket.max(axis=0))
-    vec = np.concatenate([np.concatenate(pooled_mean), np.concatenate(pooled_max)])
-    assert vec.size == EMBED_DIM
-    return vec
-
-
-def embed_set(buffers: dict[str, AudioBuffer]):
-    """Embed every clip; returns (stats, silent_ids)."""
-    silent, vectors = [], []
-    for clip_id in sorted(buffers):
-        vec = default_embed(buffers[clip_id])
-        if not np.any(vec):
-            silent.append(clip_id)
-        vectors.append(vec)
-    return EmbeddingStats.from_embeddings(np.stack(vectors)), silent
+    return tdoa_series(stereo, window_s, gate_dbfs).embedding()
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,12 @@ def _events_for(record: AttributeRecord, entry: ManifestEntry) -> list[str]:
     return events
 
 
+def _require_finite(data: np.ndarray, what: str) -> None:
+    bad = np.count_nonzero(~np.isfinite(data))
+    if bad:
+        raise ValueError(f"{what} has {bad} non-finite sample(s)")
+
+
 def synthesize_entry(entry: ManifestEntry, out_dir, global_seed: int,
                      sample_rate: int = 16000, duration: float = 10.0,
                      pcm16: bool = False) -> dict:
@@ -158,7 +164,9 @@ def synthesize_entry(entry: ManifestEntry, out_dir, global_seed: int,
     rendered = []
     for i, source in enumerate(scene.sources):
         path = entry.audio_paths[i % len(entry.audio_paths)]
-        clip = read_wav(path).mono().resample(sample_rate)
+        source_audio = read_wav(path)
+        _require_finite(source_audio.data, f"source audio {path}")
+        clip = source_audio.mono().resample(sample_rate)
         clip = crop_pad(clip, rng.child(f"crop{i}"), target_s=duration)
         rendered.append(render_moving(clip, scene, source))
     mix = mix_scene(rendered)
@@ -168,6 +176,7 @@ def synthesize_entry(entry: ManifestEntry, out_dir, global_seed: int,
     target = 10.0 ** (MASTER_PEAK_DBFS / 20.0)
     master_gain = target / peak if peak > 0 else 1.0
     final = AudioBuffer(mix.audio.data * master_gain, sample_rate)
+    _require_finite(final.data, "master mix")
 
     caption = cap.generate_caption(record, events)
     coarse, fine = guidance.matrices_for_scene(scene)
@@ -320,6 +329,9 @@ def _validate_row(dataset_dir: Path, row: dict, report: ValidationReport) -> Non
         report.add(clip_id, "missing_file", str(wav_path))
         return
     buf = read_wav(wav_path)
+    bad = np.count_nonzero(~np.isfinite(buf.data))
+    if bad:
+        report.add(clip_id, "non_finite", f"{bad} non-finite sample(s)")
     expected_n = int(round(row["duration"] * row["sample_rate"]))
     if buf.sample_rate != row["sample_rate"]:
         report.add(clip_id, "sample_rate", f"{buf.sample_rate} != {row['sample_rate']}")
@@ -406,14 +418,23 @@ def _subset_tags(directory) -> dict[str, str]:
     return {row["id"]: row.get("subset", "?") for row in DatasetIndex.load(index_path).rows}
 
 
+def _fsad(gen_vecs: dict, ref_vecs: dict, ids: list[str]) -> float:
+    """Frechet distance between the generated and reference vectors of ``ids``."""
+    return metrics.frechet_distance(
+        *(metrics.EmbeddingStats.from_embeddings(np.stack([vecs[k] for k in ids]))
+          for vecs in (gen_vecs, ref_vecs)))
+
+
 def evaluate(gen_dir, ref_dir_or_index,
              external_embeddings: tuple | None = None) -> metrics.MetricReport:
     """Score a generated directory against a reference set.
 
     The reference is a WAV directory or an index.jsonl; clips pair by id
-    (filename stem). With ``external_embeddings`` = (gen_dir, ref_dir) of
-    .bin/.json files, the Frechet distance additionally uses those vectors
-    (``crw_mae`` appears when sidecars carry ``mean_tdoa_ms``).
+    (filename stem). Each clip is analysed once by ``metrics.tdoa_series``;
+    its window features give the embedding for every Frechet distance. With
+    ``external_embeddings`` = (gen_dir, ref_dir) of .bin/.json files, the
+    Frechet distance additionally uses those vectors (``crw_mae`` appears
+    when sidecars carry ``mean_tdoa_ms``).
     """
     gen = _load_wav_set(gen_dir)
     ref = _load_wav_set(ref_dir_or_index)
@@ -424,12 +445,11 @@ def evaluate(gen_dir, ref_dir_or_index,
 
     gen_series = {k: metrics.tdoa_series(gen[k]) for k in common}
     ref_series = {k: metrics.tdoa_series(ref[k]) for k in common}
+    gen_vecs = {k: gen_series[k].embedding() for k in common}
+    ref_vecs = {k: ref_series[k].embedding() for k in common}
     mae, rows, skipped = metrics.gcc_mae(gen_series, ref_series)
     ma, ma_skipped = metrics.gcc_ma(gen_series)
-
-    gen_stats, _ = metrics.embed_set({k: gen[k] for k in common})
-    ref_stats, _ = metrics.embed_set({k: ref[k] for k in common})
-    fsad = metrics.frechet_distance(gen_stats, ref_stats)
+    fsad = _fsad(gen_vecs, ref_vecs, common)
 
     crw_mae = None
     if external_embeddings is not None:
@@ -437,10 +457,7 @@ def evaluate(gen_dir, ref_dir_or_index,
         ext_ref, ref_meta = metrics.load_embedding_dir(external_embeddings[1])
         ids = sorted(set(ext_gen) & set(ext_ref))
         if len(ids) >= 2:
-            fsad = metrics.frechet_distance(
-                metrics.EmbeddingStats.from_embeddings(np.stack([ext_gen[i] for i in ids])),
-                metrics.EmbeddingStats.from_embeddings(np.stack([ext_ref[i] for i in ids])),
-            )
+            fsad = _fsad(ext_gen, ext_ref, ids)
         tdoas = [(gen_meta[i].get("mean_tdoa_ms"), ref_meta[i].get("mean_tdoa_ms")) for i in ids]
         pairs = [(g, r) for g, r in tdoas if g is not None and r is not None]
         if pairs:
@@ -458,12 +475,10 @@ def evaluate(gen_dir, ref_dir_or_index,
             s_mae, _, _ = metrics.gcc_mae({k: gen_series[k] for k in ids},
                                           {k: ref_series[k] for k in ids})
             s_ma, _ = metrics.gcc_ma({k: gen_series[k] for k in ids})
-            s_gen, _ = metrics.embed_set({k: gen[k] for k in ids})
-            s_ref, _ = metrics.embed_set({k: ref[k] for k in ids})
             report.by_subset[subset] = {
                 "gcc_mae": s_mae,
                 "gcc_ma": s_ma,
-                "fsad": metrics.frechet_distance(s_gen, s_ref),
+                "fsad": _fsad(gen_vecs, ref_vecs, ids),
                 "count": len(ids),
             }
     return report

@@ -204,11 +204,6 @@ def _render_instant(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec,
     return AudioBuffer(out, fs)
 
 
-def render_source(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> AudioBuffer:
-    """Render one source according to its movement mode."""
-    return render_moving(mono, scene, source)
-
-
 @dataclass(frozen=True)
 class MixResult:
     audio: AudioBuffer

@@ -301,8 +301,8 @@ def test_metric_self_consistency():
     for _ in range(20):
         def make():
             m = rng.standard_normal((8, 8))
-            return EmbeddingStats(mean=rng.standard_normal(8),
-                                  cov=m @ m.T + 0.05 * np.eye(8), count=64)
+            return EmbeddingStats.from_embeddings(
+                rng.standard_normal((64, 8)) @ m + rng.standard_normal(8))
         a, b = make(), make()
         got = frechet_distance(a, b)
         cross = np.real(sla.sqrtm(a.cov @ b.cov))

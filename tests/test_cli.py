@@ -39,6 +39,17 @@ def test_synthesize_validate_evaluate_success_codes(workspace, capsys):
     assert "gcc_mae" in stdout
 
 
+def test_evaluate_single_common_pair_exit_two(tmp_path, capsys):
+    # one pair cannot give a covariance: a bad invocation, not skipped clips
+    rng = np.random.default_rng(5)
+    for name in ("gen", "ref"):
+        write_wav(tmp_path / name / "only.wav",
+                  AudioBuffer(rng.standard_normal((16000 * 2, 2)) * 0.3, 16000))
+    assert main(["evaluate", "--generated", str(tmp_path / "gen"),
+                 "--reference", str(tmp_path / "ref")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_synthesize_partial_failure_exit_one(workspace, tmp_path):
     root, clip, _ = workspace
     manifest = tmp_path / "broken.jsonl"

@@ -8,21 +8,30 @@ from stereoscene.acoustics import RirKernel, render_static, stereo_rir_for
 from stereoscene.audio_io import AudioBuffer
 from stereoscene.metrics import (
     EMBED_DIM,
+    MAX_LAG_S,
     EmbeddingStats,
     MetricError,
     TdoaSeries,
     TdoaWindow,
     default_embed,
-    embed_set,
     frechet_distance,
     gcc_ma,
     gcc_mae,
     gcc_phat,
+    gcc_phat_correlation,
     load_embedding_dir,
     tdoa_series,
 )
+from stereoscene.render import render_moving
 
-from conftest import geometric_itd_s, open_field_scene, polar_pos, rms_normalize, still_source
+from conftest import (
+    geometric_itd_s,
+    moving_source,
+    open_field_scene,
+    polar_pos,
+    rms_normalize,
+    still_source,
+)
 
 
 def _render(scene, src_pos, noise_seed=0, seconds=10):
@@ -123,6 +132,79 @@ def test_partial_silence_gating():
     assert all(valid_flags[:50]) and not any(valid_flags[50:])
 
 
+def _clip_kinds():
+    """Seeded stereo clips with noise, chirp, gated-tone and moving content."""
+    fs = 16000
+    t = np.arange(fs * 10) / fs
+    chirp_mono = AudioBuffer(0.5 * np.sin(2 * np.pi * (150.0 * t + 45.0 * t ** 2)), fs)
+    tone = np.sin(2 * np.pi * 520.0 * t) * (np.sin(2 * np.pi * 0.7 * t) > 0)
+    scene = open_field_scene([moving_source(30.0, 150.0, 12.0)])
+    yield "noise", _render(open_field_scene([still_source(40.0, 15.0)]),
+                           polar_pos(40.0, 15.0), noise_seed=11)
+    yield "chirp", rms_normalize(render_moving(
+        chirp_mono, open_field_scene([still_source(0.0, 20.0)]), still_source(0.0, 20.0)))
+    yield "gated_tone", AudioBuffer(0.6 * np.stack([np.roll(tone, 4), tone], axis=1), fs)
+    yield "moving", rms_normalize(render_moving(
+        AudioBuffer(np.random.default_rng(12).standard_normal(fs * 10) * 0.2, fs),
+        scene, scene.sources[0]))
+
+
+def _per_window_reference(stereo):
+    """The per-window walk: TDOA and the 80 features of every valid window."""
+    fs, win = stereo.sample_rate, 1600
+    left, right = stereo.channel(0), stereo.channel(1)
+    lag_grid = np.linspace(-MAX_LAG_S, MAX_LAG_S, 64)
+    tdoas, feats = [], []
+    for start in range(0, stereo.n_samples - win + 1, win):
+        seg_l, seg_r = left[start:start + win], right[start:start + win]
+        rms = max(np.sqrt(np.mean(seg_l ** 2)), np.sqrt(np.mean(seg_r ** 2)))
+        if rms < 10.0 ** (-16.0 / 20.0):
+            tdoas.append(None)
+            continue
+        tdoas.append(gcc_phat(seg_l, seg_r, fs))
+        lags, cc = gcc_phat_correlation(seg_l, seg_r, fs)
+        corr = np.interp(lag_grid, lags, cc / np.max(np.abs(cc)))
+        edges = np.clip(np.round(np.geomspace(50.0, fs / 2.0, 9) / (fs / 2.0) * 800)
+                        .astype(int), 1, 800)
+        bands = [np.log10(np.sum(np.abs(np.fft.rfft(seg)[lo:hi]) ** 2) + 1e-12)
+                 for seg in (seg_l, seg_r) for lo, hi in zip(edges[:-1], edges[1:])]
+        feats.append(np.concatenate([corr, bands]))
+    return tdoas, np.array(feats)
+
+
+def test_series_matches_per_window_gcc_phat_bit_for_bit():
+    for kind, stereo in _clip_kinds():
+        series = tdoa_series(stereo)
+        tdoas, feats = _per_window_reference(stereo)
+        assert [w.valid for w in series.windows] == [t is not None for t in tdoas], kind
+        assert [w.tdoa_s for w in series.windows if w.valid] == \
+            [t for t in tdoas if t is not None], kind
+        assert 0 < series.n_valid, kind
+        np.testing.assert_allclose(series.features, feats, rtol=0, atol=1e-12, err_msg=kind)
+
+
+def test_default_embed_pools_per_window_reference():
+    for kind, stereo in _clip_kinds():
+        _, feats = _per_window_reference(stereo)
+        n = feats.shape[0]
+        buckets = [feats[(b * n) // 16: max((b * n) // 16 + 1, -(-(b + 1) * n // 16))]
+                   for b in range(16)]
+        want = np.concatenate([np.concatenate([x.mean(axis=0) for x in buckets]),
+                               np.concatenate([x.max(axis=0) for x in buckets])])
+        np.testing.assert_allclose(default_embed(stereo), want, rtol=0, atol=1e-12,
+                                   err_msg=kind)
+
+
+def test_stacked_correlation_equals_per_frame():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((5, 1600))
+    b = np.roll(a, 3, axis=1) + 0.1 * rng.standard_normal((5, 1600))
+    lags, stacked = gcc_phat_correlation(a, b, 16000)
+    for row in range(5):
+        lags_1d, cc = gcc_phat_correlation(a[row], b[row], 16000)
+        assert np.array_equal(lags, lags_1d) and np.array_equal(stacked[row], cc)
+
+
 # ---------------------------------------------------------------------------
 # aggregates
 # ---------------------------------------------------------------------------
@@ -175,8 +257,8 @@ def test_gcc_ma_values():
 # ---------------------------------------------------------------------------
 def _random_stats(rng, dim=8):
     a = rng.standard_normal((dim, dim))
-    cov = a @ a.T + 0.1 * np.eye(dim)
-    return EmbeddingStats(mean=rng.standard_normal(dim), cov=cov, count=100)
+    samples = rng.standard_normal((100, dim)) @ a + rng.standard_normal(dim)
+    return EmbeddingStats.from_embeddings(samples)
 
 
 def test_frechet_identity_zero():
@@ -186,8 +268,11 @@ def test_frechet_identity_zero():
 
 def test_frechet_mean_offset_with_identity_covs():
     d = np.array([1.0, -2.0, 0.5, 0.0])
-    a = EmbeddingStats(mean=np.zeros(4), cov=np.eye(4), count=10)
-    b = EmbeddingStats(mean=d, cov=np.eye(4), count=10)
+    # +-c e_i for each axis: zero mean, sample covariance exactly 2 c^2 / 7 = I
+    spikes = np.sqrt(3.5) * np.concatenate([np.eye(4), -np.eye(4)])
+    a = EmbeddingStats.from_embeddings(spikes)
+    b = EmbeddingStats.from_embeddings(spikes + d)
+    np.testing.assert_allclose(a.cov, np.eye(4), atol=1e-12)
     assert abs(frechet_distance(a, b) - float(d @ d)) < 1e-9
 
 
@@ -204,11 +289,23 @@ def test_frechet_matches_scipy_sqrtm_oracle():
         assert abs(got - frechet_distance(b, a)) < 1e-8
 
 
-def test_frechet_rejects_non_psd():
-    bad = EmbeddingStats(mean=np.zeros(3), cov=np.diag([1.0, 1.0, -0.5]), count=10)
-    good = EmbeddingStats(mean=np.zeros(3), cov=np.eye(3), count=10)
-    with pytest.raises(MetricError):
-        frechet_distance(bad, good)
+def test_frechet_high_dim_few_samples_matches_subspace_oracle():
+    # d = 2560 with ~10 samples per set: each covariance has rank n - 1, so
+    # the oracle works in the row space Q of set a, where Sa^(1/2) lives:
+    # Tr((Sa Sb)^(1/2)) = Tr(sqrtm(Q^T Sa Q Q^T Sb Q)). With na <= nb that
+    # product has full rank na - 1, where sqrtm is accurate.
+    rng = np.random.default_rng(2560)
+    for na, nb in ((10, 10), (10, 12), (9, 11)):
+        xa = rng.standard_normal((na, EMBED_DIM)) * rng.uniform(0.1, 2.0, EMBED_DIM)
+        xb = rng.standard_normal((nb, EMBED_DIM)) + 0.3
+        cov_a, cov_b = np.cov(xa, rowvar=False), np.cov(xb, rowvar=False)
+        q = np.linalg.svd(xa - xa.mean(axis=0), full_matrices=False)[2][: na - 1].T
+        cross = np.real(sla.sqrtm((q.T @ cov_a @ q) @ (q.T @ cov_b @ q)))
+        diff = xa.mean(axis=0) - xb.mean(axis=0)
+        want = float(diff @ diff + np.trace(cov_a) + np.trace(cov_b) - 2.0 * np.trace(cross))
+        got = frechet_distance(EmbeddingStats.from_embeddings(xa),
+                               EmbeddingStats.from_embeddings(xb))
+        assert abs(got - want) < 1e-6, (na, nb, got - want)
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +340,6 @@ def test_embed_same_scene_different_noise_high_cosine():
     c = default_embed(_render(other, polar_pos(40.0, 18.0), noise_seed=3))
     cos_other = float(a @ c / (np.linalg.norm(a) * np.linalg.norm(c)))
     assert cos_other < cos
-
-
-def test_embed_set_flags_silent_members():
-    buffers = {
-        "loud": AudioBuffer(np.random.default_rng(0).standard_normal((160000, 2)) * 0.3, 16000),
-        "quiet": AudioBuffer(np.zeros((160000, 2)), 16000),
-    }
-    stats, silent = embed_set(buffers)
-    assert silent == ["quiet"]
-    assert stats.count == 2
 
 
 def test_external_embedding_roundtrip(tmp_path):

@@ -178,6 +178,24 @@ def test_failures_are_isolated(tmp_path, clip_dir):
     assert (out / "failures.jsonl").exists()
 
 
+def test_non_finite_source_audio_fails_entry(tmp_path, clip_dir):
+    noisy = read_wav(clip_dir / "noise.wav").data.copy()
+    noisy[12345] = np.nan
+    write_wav(tmp_path / "nan.wav", AudioBuffer(noisy, 16000))
+    entries = _entries(clip_dir)[:1] + [
+        {"id": "ds-nan", "subset": "DS", "audio": [str(clip_dir / "noise.wav"),
+                                                   str(tmp_path / "nan.wav")],
+         "caption": "A dog barks on the left while a cat meows on the right, outdoors."}]
+    manifest_path = tmp_path / "m.jsonl"
+    _write_manifest(manifest_path, entries)
+    out = tmp_path / "out"
+    index = synthesize(read_manifest(manifest_path), out, global_seed=3, duration=2.0)
+    assert [r["id"] for r in index.rows] == ["ss-a"]
+    assert [f["id"] for f in index.failures] == ["ds-nan"]
+    assert "non-finite" in index.failures[0]["error"]
+    assert not list(out.glob("ds-nan*"))
+
+
 def test_reruns_byte_identical_across_worker_counts(tmp_path, clip_dir):
     manifest_path = tmp_path / "m.jsonl"
     _write_manifest(manifest_path, _entries(clip_dir)[:3])
@@ -226,6 +244,23 @@ def test_truncated_wav_flagged(synthesized, tmp_path):
     report = validate(broken)
     kinds = {v["kind"] for v in report.violations if v["id"] == row["id"]}
     assert "duration" in kinds
+
+
+def test_non_finite_samples_flagged_for_every_subset(synthesized, tmp_path):
+    out, index = synthesized
+    import shutil
+
+    broken = tmp_path / "broken_nan"
+    shutil.copytree(out, broken)
+    for row in index.rows:
+        buf = read_wav(broken / row["wav"])
+        data = buf.data.copy()
+        data[5000, 1] = np.nan
+        write_wav(broken / row["wav"], AudioBuffer(data, 16000))
+    report = validate(broken)
+    flagged = {v["id"] for v in report.violations if v["kind"] == "non_finite"}
+    assert flagged == {row["id"] for row in index.rows}
+    assert {row["subset"] for row in index.rows} == {"SS", "DS", "SD", "M"}
 
 
 def test_zeroed_matrix_column_flagged(synthesized, tmp_path):

@@ -506,7 +506,8 @@ def induce_via_llm(text_or_meta, config: LlmClientConfig) -> AttributeRecord:
     """Ask the configured endpoint for attributes; degrade to the parser.
 
     Network errors, timeouts, non-JSON payloads, and schema violations all
-    fall back to parse_caption with the record flagged "fallback".
+    fall back to parse_caption with the record flagged "fallback". Needs
+    ``requests`` (the ``llm`` extra).
     """
     import requests
 

@@ -96,8 +96,10 @@ def interp_center(traj: BinTrajectory, t: float) -> float:
         return traj.mu_start
     if traj.duration_bins <= 0 or t >= traj.start_bin_t + traj.duration_bins:
         return traj.mu_end
-    frac = (t - traj.start_bin_t) / traj.duration_bins
-    return traj.mu_start + frac * (traj.mu_end - traj.mu_start)
+    # scale before dividing: on integer bins the product is exact and the
+    # quotient correctly rounded, so an integer center mirrors exactly
+    step = (t - traj.start_bin_t) * (traj.mu_end - traj.mu_start) / traj.duration_bins
+    return traj.mu_start + step
 
 
 def centers_over_time(traj: BinTrajectory, d_time: int = D_TIME) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ EMBED_DIM = 2560
 _EMBED_LAGS = 64
 _EMBED_BANDS = 8
 _EMBED_TIME_BUCKETS = 16
-_GCC_BLOCK = 16  # valid windows per stacked GCC-PHAT call
 
 
 class MetricError(ValueError):
@@ -34,12 +34,26 @@ class MetricError(ValueError):
 # ---------------------------------------------------------------------------
 # GCC-PHAT
 # ---------------------------------------------------------------------------
-def _phat_lags(fa: np.ndarray, fb: np.ndarray, nfft: int, interp: int,
-               max_shift: int) -> np.ndarray:
-    """PHAT cross-correlation of two spectra at lags -max_shift..max_shift (interp grid)."""
-    g = fa * np.conj(fb)
-    cc = np.fft.irfft(g / np.maximum(np.abs(g), PHAT_EPS), n=nfft * interp)
-    return np.concatenate([cc[..., -max_shift:], cc[..., : max_shift + 1]], axis=-1)
+@lru_cache(maxsize=4)
+def _lag_basis(nfft: int, interp: int, max_shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine rows that turn a half spectrum into lags 0..max_shift.
+
+    Lag l of ``irfft(g, n=nfft * interp)`` is ``sum_k w_k (re_k cos - im_k sin)``
+    at phase 2 pi k l / (nfft * interp), with weight w_k = 2 except for bin 0
+    and the transform's own Nyquist bin (weight 1). The basis carries w_k and
+    the 1 / (nfft * interp) scale; it is (nfft/2 + 1) x (max_shift + 1).
+    """
+    m = nfft * interp
+    bins = np.arange(nfft // 2 + 1)
+    weight = np.where((bins == 0) | (2 * bins == m), 1.0, 2.0) / m
+    phase = np.multiply.outer(bins, np.arange(max_shift + 1))
+    phase %= m  # exact integer reduction keeps the angles in [0, 2 pi)
+    angle = phase * (2.0 * np.pi / m)
+    cos = np.cos(angle)
+    cos *= weight[:, None]
+    sin = np.sin(angle, out=angle)
+    sin *= weight[:, None]
+    return cos, sin
 
 
 def gcc_phat_correlation(frame_left, frame_right, fs: int,
@@ -47,9 +61,14 @@ def gcc_phat_correlation(frame_left, frame_right, fs: int,
     """PHAT-whitened cross-correlation over +-max_lag_s.
 
     Frames are 1-D, or 2-D stacks with one frame per row. Returns
-    (lags_seconds, correlation) with the lags on the last axis. Built
-    symmetrically from both channel orders, so swapping the channels
-    reverses the lag axis exactly.
+    (lags_seconds, correlation) with the lags on the last axis. The
+    correlation equals the ``interp``-times zero-padded inverse transform of
+    the PHAT spectrum, but only the kept lags are evaluated: with the
+    spectrum's even part E = re @ cos and odd part O = im @ sin, lag +l is
+    E - O and lag -l is E + O. ``re`` is symmetric and ``im`` antisymmetric
+    in the two channels bit for bit, so swapping the channels reverses the
+    lag axis exactly. Each frame is one matrix-vector product, so a frame's
+    result does not depend on the stack it arrives in.
     """
     a = np.asarray(frame_left, dtype=np.float64)
     b = np.asarray(frame_right, dtype=np.float64)
@@ -63,9 +82,16 @@ def gcc_phat_correlation(frame_left, frame_right, fs: int,
     nfft = 2 * a.shape[-1]
     fa = np.fft.rfft(a, n=nfft)
     fb = np.fft.rfft(b, n=nfft)
-    v1 = _phat_lags(fa, fb, nfft, interp, max_shift)
-    v2 = _phat_lags(fb, fa, nfft, interp, max_shift)
-    cc = 0.5 * (v1 + v2[..., ::-1])
+    ar, ai, br, bi = fa.real, fa.imag, fb.real, fb.imag
+    re = ar * br + ai * bi
+    im = ai * br - ar * bi
+    mag = np.maximum(np.hypot(re, im), PHAT_EPS)
+    re /= mag
+    im /= mag
+    cos, sin = _lag_basis(nfft, interp, max_shift)
+    even = (re[..., None, :] @ cos)[..., 0, :]
+    odd = (im[..., None, :] @ sin)[..., 0, :]
+    cc = np.concatenate([(even + odd)[..., :0:-1], even - odd], axis=-1)
     lags = np.arange(-max_shift, max_shift + 1) / (fs * interp)
     return lags, cc
 
@@ -149,8 +175,8 @@ def tdoa_series(stereo: AudioBuffer, window_s: float = TDOA_WINDOW_S,
     A window is valid when the louder channel's RMS reaches ``gate_dbfs``;
     only valid windows get a GCC-PHAT estimate and a feature row (the
     peak-normalised correlogram at 64 lags over +-max_lag_s, then 8 log band
-    energies per channel). Valid windows go through GCC-PHAT in stacks of
-    ``_GCC_BLOCK``, which bounds the interpolated correlation buffers.
+    energies per channel). All valid windows go through one stacked
+    GCC-PHAT call.
     """
     if stereo.channels != 2:
         raise MetricError("tdoa_series expects a stereo buffer")
@@ -162,25 +188,21 @@ def tdoa_series(stereo: AudioBuffer, window_s: float = TDOA_WINDOW_S,
     rms = np.maximum(np.sqrt(np.mean(left ** 2, axis=1)), np.sqrt(np.mean(right ** 2, axis=1)))
     valid = rms >= 10.0 ** (gate_dbfs / 20.0)
 
-    rows = np.flatnonzero(valid)
+    seg_l, seg_r = left[valid], right[valid]
+    lags, cc = gcc_phat_correlation(seg_l, seg_r, fs, max_lag_s, interp)
+    mag = np.abs(cc)
     tdoa = np.zeros(n_win)
-    features = np.empty((rows.size, _EMBED_LAGS + 2 * _EMBED_BANDS))
+    tdoa[valid] = lags[np.argmax(mag, axis=1)]
+    peak = mag.max(axis=1, keepdims=True)
+    cc = cc / np.where(peak > 0, peak, 1.0)
+    # linear interpolation onto the lag grid, as np.interp does per row
     lag_grid = np.linspace(-max_lag_s, max_lag_s, _EMBED_LAGS)
-    for lo in range(0, rows.size, _GCC_BLOCK):
-        block = rows[lo:lo + _GCC_BLOCK]
-        seg_l, seg_r = left[block], right[block]
-        lags, cc = gcc_phat_correlation(seg_l, seg_r, fs, max_lag_s, interp)
-        mag = np.abs(cc)
-        tdoa[block] = lags[np.argmax(mag, axis=1)]
-        peak = mag.max(axis=1, keepdims=True)
-        cc = cc / np.where(peak > 0, peak, 1.0)
-        # linear interpolation onto the lag grid, as np.interp does per row
-        pos = np.interp(lag_grid, lags, np.arange(lags.size))
-        i0 = np.minimum(pos.astype(int), lags.size - 2)
-        frac = pos - i0
-        corr = cc[:, i0] + frac * (cc[:, i0 + 1] - cc[:, i0])
-        features[lo:lo + block.size] = np.concatenate(
-            [corr, _log_band_energies(seg_l, fs), _log_band_energies(seg_r, fs)], axis=1)
+    pos = np.interp(lag_grid, lags, np.arange(lags.size))
+    i0 = np.minimum(pos.astype(int), lags.size - 2)
+    frac = pos - i0
+    corr = cc[:, i0] + frac * (cc[:, i0 + 1] - cc[:, i0])
+    features = np.concatenate(
+        [corr, _log_band_energies(seg_l, fs), _log_band_energies(seg_r, fs)], axis=1)
 
     starts = (np.arange(n_win) * win / fs).tolist()
     windows = tuple(map(TdoaWindow, starts, tdoa.tolist(), valid.tolist()))

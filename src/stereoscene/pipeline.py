@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.io import wavfile
 
 from . import captions as cap
 from . import guidance, metrics
@@ -302,6 +303,15 @@ def _expected_itd_s(scene: SceneSpec, source) -> float:
     return (d_left - d_right) / 343.0
 
 
+def _master_peak_limit(wav_path) -> float:
+    """The master peak plus one rounding step of the WAV file's sample format."""
+    target = 10.0 ** (MASTER_PEAK_DBFS / 20.0)
+    dtype = wavfile.read(str(wav_path), mmap=True)[1].dtype  # header only
+    if dtype.kind in "iu":
+        return target + 2.0 ** (1 - 8 * dtype.itemsize)  # 1 LSB as read_wav scales it
+    return target + float(np.spacing(dtype.type(target)))
+
+
 def validate(dataset_dir) -> ValidationReport:
     """Check a synthesized tree against its own invariants."""
     dataset_dir = Path(dataset_dir)
@@ -332,6 +342,10 @@ def _validate_row(dataset_dir: Path, row: dict, report: ValidationReport) -> Non
     bad = np.count_nonzero(~np.isfinite(buf.data))
     if bad:
         report.add(clip_id, "non_finite", f"{bad} non-finite sample(s)")
+    peak = float(np.max(np.abs(buf.data))) if buf.data.size else 0.0
+    if peak > _master_peak_limit(wav_path):
+        report.add(clip_id, "master_peak",
+                   f"peak {20.0 * np.log10(peak):.4f} dBFS above {MASTER_PEAK_DBFS} dBFS")
     expected_n = int(round(row["duration"] * row["sample_rate"]))
     if buf.sample_rate != row["sample_rate"]:
         report.add(clip_id, "sample_rate", f"{buf.sample_rate} != {row['sample_rate']}")
@@ -397,17 +411,24 @@ def _labels_match(a: AttributeRecord, b: AttributeRecord) -> bool:
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-def _load_wav_set(dir_or_index) -> dict[str, AudioBuffer]:
-    """WAV clips from a directory, or from an index.jsonl's listed rows."""
+def _wav_paths(dir_or_index) -> dict[str, Path]:
+    """WAV paths by clip id from a directory, or from an index.jsonl's listed rows."""
     path = Path(dir_or_index)
     if path.is_file() and path.suffix == ".jsonl":
-        rows = DatasetIndex.load(path).rows
-        buffers = {row["id"]: read_wav(path.parent / row["wav"]) for row in rows}
+        paths = {row["id"]: path.parent / row["wav"] for row in DatasetIndex.load(path).rows}
     else:
-        buffers = {p.stem: read_wav(p) for p in sorted(path.glob("*.wav"))}
-    if not buffers:
+        paths = {p.stem: p for p in sorted(path.glob("*.wav"))}
+    if not paths:
         raise ManifestError(f"no WAV files in {dir_or_index}")
-    return buffers
+    return paths
+
+
+def _finite_series(path) -> metrics.TdoaSeries | None:
+    """The clip's TDOA series, or None when the clip has non-finite samples."""
+    buf = read_wav(path)
+    if not np.all(np.isfinite(buf.data)):
+        return None
+    return metrics.tdoa_series(buf)
 
 
 def _subset_tags(directory) -> dict[str, str]:
@@ -430,21 +451,30 @@ def evaluate(gen_dir, ref_dir_or_index,
     """Score a generated directory against a reference set.
 
     The reference is a WAV directory or an index.jsonl; clips pair by id
-    (filename stem). Each clip is analysed once by ``metrics.tdoa_series``;
-    its window features give the embedding for every Frechet distance. With
+    (filename stem). Clips are read and analysed one at a time by
+    ``metrics.tdoa_series``; its window features give the embedding for
+    every Frechet distance. A pair whose generated or reference clip has
+    non-finite samples is scored like an unpaired clip: left out of every
+    score and listed in ``skipped``. With
     ``external_embeddings`` = (gen_dir, ref_dir) of .bin/.json files, the
     Frechet distance additionally uses those vectors (``crw_mae`` appears
     when sidecars carry ``mean_tdoa_ms``).
     """
-    gen = _load_wav_set(gen_dir)
-    ref = _load_wav_set(ref_dir_or_index)
-    common = sorted(set(gen) & set(ref))
+    gen = _wav_paths(gen_dir)
+    ref = _wav_paths(ref_dir_or_index)
+    # one clip in memory at a time; a pair with a non-finite side is left
+    # out of every score, like an unpaired clip
+    gen_series, ref_series = {}, {}
+    for k in sorted(set(gen) & set(ref)):
+        g = _finite_series(gen[k])
+        r = _finite_series(ref[k]) if g is not None else None
+        if r is not None:
+            gen_series[k], ref_series[k] = g, r
+    common = sorted(gen_series)
     unpaired = sorted((set(gen) | set(ref)) - set(common))
     if not common:
-        raise ManifestError("no clip ids in common between the two sets")
+        raise ManifestError("no clip ids with finite audio in common between the two sets")
 
-    gen_series = {k: metrics.tdoa_series(gen[k]) for k in common}
-    ref_series = {k: metrics.tdoa_series(ref[k]) for k in common}
     gen_vecs = {k: gen_series[k].embedding() for k in common}
     ref_vecs = {k: ref_series[k].embedding() for k in common}
     mae, rows, skipped = metrics.gcc_mae(gen_series, ref_series)

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import oaconvolve
 
 from .acoustics import AcousticsError, RirKernel, render_static, stereo_rir_for
@@ -19,6 +20,7 @@ ACTIVITY_THRESHOLD_DBFS = -40.0
 MIN_SEGMENT_S = 1.0
 TARGET_CLIP_S = 10.0
 MOVING_HOP_S = 0.01
+_GRAIN_BATCH = 32  # single-grain runs convolved per stacked transform
 MIX_CEILING_DBFS = -1.0
 
 
@@ -136,10 +138,12 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec,
 
     The trajectory is sampled every ``hop_s``; the input is cut into
     2*hop grains with raised-cosine crossfades, each convolved with the RIR
-    at its trajectory point and overlap-added. Instant sources render as two
-    static halves crossfaded over one hop at the jump time. RIRs are cached
-    per repeated position, so the constant stretches before/after motion cost
-    one RIR each.
+    at its trajectory point and overlap-added. Consecutive grains at the same
+    position form a run: the run's windows are summed and its input is
+    convolved once. Single-grain runs are convolved in stacks of
+    ``_GRAIN_BATCH`` sharing one transform size. Each RIR is built when its
+    run is reached and dropped once convolved. Instant sources render as two
+    static halves crossfaded over one hop at the jump time.
     """
     if source.movement == "still":
         rir = stereo_rir_for(scene, np.asarray(source.start_pos))
@@ -161,23 +165,57 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec,
     x = np.asarray(mono.data, dtype=np.float64)
     n_grains = int(np.ceil(n / hop))
     windows = _grain_windows(n_grains, hop)
+    positions = [source.position_at(j * hop_s) for j in range(n_grains)]
+    keys = [tuple(np.round(pos, 9)) for pos in positions]
     out = np.zeros((n, 2))
-    cache: dict[tuple, RirKernel] = {}
-    for j in range(n_grains):
-        pos = source.position_at(j * hop_s)
-        key = tuple(np.round(pos, 9))
-        rir = cache.get(key)
-        if rir is None:
-            rir = stereo_rir_for(scene, pos)
-            cache[key] = rir
-        start = j * hop
-        grain = x[start:start + 2 * hop]
-        w = windows[j, : grain.shape[0]]
-        for ch in range(2):
-            seg = oaconvolve(grain * w, rir.samples[ch])
-            stop = min(start + seg.shape[0], n)
-            out[start:stop, ch] += seg[: stop - start]
+    singles: list[tuple[int, RirKernel]] = []
+    j0 = 0
+    while j0 < n_grains:
+        j1 = j0
+        while j1 + 1 < n_grains and keys[j1 + 1] == keys[j0]:
+            j1 += 1
+        rir = stereo_rir_for(scene, positions[j0])
+        if j1 == j0:
+            singles.append((j0, rir))
+            if len(singles) == _GRAIN_BATCH:
+                _convolve_grains(x, windows, hop, singles, out)
+                singles = []
+        else:
+            start = j0 * hop
+            # a run's summed windows: its first rise, the overlapped
+            # fall + rise of each neighbouring pair, its last fall
+            w = np.concatenate([windows[j0, :hop],
+                                (windows[j0:j1, hop:] + windows[j0 + 1:j1 + 1, :hop]).ravel(),
+                                windows[j1, hop:]])
+            seg_in = x[start:start + w.size]
+            seg_in = seg_in * w[:seg_in.size]
+            for ch in range(2):
+                seg = oaconvolve(seg_in, rir.samples[ch])
+                stop = min(start + seg.shape[0], n)
+                out[start:stop, ch] += seg[: stop - start]
+        j0 = j1 + 1
+    if singles:
+        _convolve_grains(x, windows, hop, singles, out)
     return AudioBuffer(out, fs)
+
+
+def _convolve_grains(x: np.ndarray, windows: np.ndarray, hop: int,
+                     grains: list[tuple[int, RirKernel]], out: np.ndarray) -> None:
+    """Overlap-add single windowed grains, each through its own RIR, into ``out``."""
+    n = out.shape[0]
+    taps = max(rir.length for _, rir in grains)
+    nfft = next_fast_len(2 * hop + taps - 1, real=True)
+    inputs = np.zeros((len(grains), 2 * hop))
+    rirs = np.zeros((len(grains), 2, taps))
+    for i, (j, rir) in enumerate(grains):
+        grain = x[j * hop:j * hop + 2 * hop]
+        inputs[i, :grain.size] = grain * windows[j, :grain.size]
+        rirs[i, :, :rir.length] = rir.samples
+    segs = irfft(rfft(inputs, nfft)[:, None, :] * rfft(rirs, nfft), nfft)
+    for i, (j, rir) in enumerate(grains):
+        start = j * hop
+        stop = min(start + 2 * hop + rir.length - 1, n)
+        out[start:stop] += segs[i, :, :stop - start].T
 
 
 def _render_instant(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stereoscene.guidance import (
@@ -130,6 +130,7 @@ def test_reflection_symmetry_coarse(mu0, mu1, t0, frac):
 
 
 @settings(max_examples=50, deadline=None)
+@example(mu0=12.0, mu1=50.0, t0=117, frac=0.9929173213532467)
 @given(
     mu0=st.integers(1, 64).map(float),
     mu1=st.integers(1, 64).map(float),

@@ -205,6 +205,37 @@ def test_stacked_correlation_equals_per_frame():
         assert np.array_equal(lags, lags_1d) and np.array_equal(stacked[row], cc)
 
 
+def _zero_padded_irfft_reference(a, b, fs, max_lag_s, interp):
+    """The correlation as the full interpolated inverse transform computes it."""
+    max_shift = int(round(max_lag_s * fs * interp))
+    nfft = 2 * a.shape[-1]
+    fa, fb = np.fft.rfft(a, n=nfft), np.fft.rfft(b, n=nfft)
+
+    def phat_lags(f1, f2):
+        g = f1 * np.conj(f2)
+        cc = np.fft.irfft(g / np.maximum(np.abs(g), 1e-12), n=nfft * interp)
+        return np.concatenate([cc[..., -max_shift:], cc[..., :max_shift + 1]], axis=-1)
+
+    return 0.5 * (phat_lags(fa, fb) + phat_lags(fb, fa)[..., ::-1])
+
+
+@pytest.mark.parametrize("frame", [800, 1600])
+@pytest.mark.parametrize("max_lag_s", [0.0005, 0.001])
+@pytest.mark.parametrize("interp", [1, 4, 16])
+def test_correlation_matches_zero_padded_irfft(interp, max_lag_s, frame):
+    rng = np.random.default_rng(interp * 7 + frame)
+    a = rng.standard_normal((6, frame))
+    b = np.roll(a, 5, axis=1) + 0.5 * rng.standard_normal((6, frame))
+    want = _zero_padded_irfft_reference(a, b, 16000, max_lag_s, interp)
+    lags, cc = gcc_phat_correlation(a, b, 16000, max_lag_s, interp)
+    assert lags.size == cc.shape[1] == want.shape[1]
+    assert np.max(np.abs(cc - want)) <= 1e-13
+    assert np.array_equal(np.argmax(np.abs(cc), axis=1), np.argmax(np.abs(want), axis=1))
+    _, cc_1d = gcc_phat_correlation(a[2], b[2], 16000, max_lag_s, interp)
+    assert np.max(np.abs(cc_1d - want[2])) <= 1e-13
+    assert np.argmax(np.abs(cc_1d)) == np.argmax(np.abs(want[2]))
+
+
 # ---------------------------------------------------------------------------
 # aggregates
 # ---------------------------------------------------------------------------

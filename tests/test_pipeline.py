@@ -263,6 +263,20 @@ def test_non_finite_samples_flagged_for_every_subset(synthesized, tmp_path):
     assert {row["subset"] for row in index.rows} == {"SS", "DS", "SD", "M"}
 
 
+def test_master_peak_above_minus_one_dbfs_flagged(synthesized, tmp_path):
+    out, index = synthesized
+    import shutil
+
+    broken = tmp_path / "broken_peak"
+    shutil.copytree(out, broken)
+    row = index.rows[0]
+    buf = read_wav(broken / row["wav"])
+    write_wav(broken / row["wav"], AudioBuffer(buf.data * 1.5, 16000))
+    report = validate(broken)
+    flagged = {v["id"] for v in report.violations if v["kind"] == "master_peak"}
+    assert flagged == {row["id"]}
+
+
 def test_zeroed_matrix_column_flagged(synthesized, tmp_path):
     out, index = synthesized
     import shutil
@@ -315,6 +329,32 @@ def test_evaluate_unpaired_reported(synthesized, tmp_path):
         shutil.copy(out / row["wav"], partial / row["wav"])
     report = evaluate(out, partial)
     assert set(report.skipped) == {r["id"] for r in index.rows[3:]}
+
+
+@pytest.mark.parametrize("side", ["gen", "ref"])
+def test_evaluate_excludes_non_finite_clip(synthesized, tmp_path, side):
+    out, index = synthesized
+    ids = [row["id"] for row in index.rows[:3]]
+    dirs = {name: tmp_path / name for name in ("gen", "ref", "gen2", "ref2")}
+    for i, clip_id in enumerate(ids):
+        data = read_wav(out / f"{clip_id}.wav").data
+        gen, ref = data, data[:, ::-1]  # the reference mirrors left and right
+        write_wav(dirs["gen"] / f"{clip_id}.wav", AudioBuffer(gen, 16000))
+        write_wav(dirs["ref"] / f"{clip_id}.wav", AudioBuffer(ref, 16000))
+        if i != 1:
+            write_wav(dirs["gen2"] / f"{clip_id}.wav", AudioBuffer(gen, 16000))
+            write_wav(dirs["ref2"] / f"{clip_id}.wav", AudioBuffer(ref, 16000))
+    bad = dirs[side] / f"{ids[1]}.wav"
+    data = read_wav(bad).data.copy()
+    data[2000:21900] = np.nan
+    write_wav(bad, AudioBuffer(data, 16000))
+
+    report = evaluate(dirs["gen"], dirs["ref"])
+    clean = evaluate(dirs["gen2"], dirs["ref2"])
+    assert report.skipped == [ids[1]]
+    assert (report.gcc_mae, report.gcc_ma, report.fsad) == \
+        (clean.gcc_mae, clean.gcc_ma, clean.fsad)
+    assert clean.gcc_mae > 0 and clean.fsad > 0
 
 
 def test_evaluate_with_external_embeddings(synthesized, tmp_path):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.signal import oaconvolve
 
+from stereoscene import render
 from stereoscene.acoustics import RirKernel, render_static, stereo_rir_for
 from stereoscene.audio_io import AudioBuffer
 from stereoscene.render import (
+    MOVING_HOP_S,
     RenderError,
     crop_pad,
     detect_activity,
@@ -105,14 +108,35 @@ def test_empty_clip_rejected():
 # ---------------------------------------------------------------------------
 # moving render
 # ---------------------------------------------------------------------------
-def test_degenerate_motion_equals_static(noise_clip):
+def _outdoor_sweep(noise_clip):
+    src = moving_source(30.0, 150.0, 15.0)
+    # 9.995 s: the last grain is cut short
+    return AudioBuffer(noise_clip.data[:159920], 16000), open_field_scene([src]), src
+
+
+def _small_room_sweep(noise_clip):
+    mic = MicArray(center=(4.0, 4.0, 2.0), half_spacing=0.085)
+    src = SourceSpec(start_pos=(4.0, 6.0, 2.0), end_pos=(6.0, 4.0, 2.0),
+                     angle=0.0, distance=2.0, movement="moving", end_angle=90.0,
+                     end_distance=2.0, speed_ratio=0.3, move_start=0.2,
+                     move_interval=0.6, audio_ref="")
+    scene = SceneSpec(room_dims=(8.0, 8.0, 4.0), rt60=0.3, mic_array=mic,
+                      sources=(src,), duration=2.0, sample_rate=16000)
+    return AudioBuffer(noise_clip.data[: 16000 * 2], 16000), scene, src
+
+
+def _degenerate_motion(noise_clip):
     pos = polar_pos(70.0, 12.0)
     src = SourceSpec(start_pos=pos, end_pos=pos, angle=70.0, distance=12.0,
                      movement="moving", end_angle=70.0, end_distance=12.0,
                      speed_ratio=0.5, move_start=1.0, move_interval=5.0)
-    scene = open_field_scene([src])
+    return noise_clip, open_field_scene([src]), src
+
+
+def test_degenerate_motion_equals_static(noise_clip):
+    _, scene, src = _degenerate_motion(noise_clip)
     moved = render_moving(noise_clip, scene, src)
-    rir = stereo_rir_for(scene, np.asarray(pos))
+    rir = stereo_rir_for(scene, np.asarray(src.start_pos))
     static = render_static(noise_clip, RirKernel(rir.samples[0:1], 16000),
                            RirKernel(rir.samples[1:2], 16000))
     residual = np.abs(moved.data - static.data).max()
@@ -160,18 +184,60 @@ def test_instant_jump_two_plateaus(noise_clip):
 
 def test_moving_indoor_small_room(noise_clip):
     # time-varying RIRs in a reverberant room stay finite and keep length
-    mic = MicArray(center=(4.0, 4.0, 2.0), half_spacing=0.085)
-    src = SourceSpec(start_pos=(4.0, 6.0, 2.0), end_pos=(6.0, 4.0, 2.0),
-                     angle=0.0, distance=2.0, movement="moving", end_angle=90.0,
-                     end_distance=2.0, speed_ratio=0.3, move_start=0.2,
-                     move_interval=0.6, audio_ref="")
-    scene = SceneSpec(room_dims=(8.0, 8.0, 4.0), rt60=0.3, mic_array=mic,
-                      sources=(src,), duration=2.0, sample_rate=16000)
-    clip = AudioBuffer(noise_clip.data[: 16000 * 2], 16000)
+    clip, scene, src = _small_room_sweep(noise_clip)
     out = render_moving(clip, scene, src)
     assert out.n_samples == clip.n_samples
     assert np.all(np.isfinite(out.data))
     assert np.abs(out.data).max() > 0
+
+
+def _per_grain_reference(mono, scene, source, rir_for):
+    """One oaconvolve per 10 ms grain and channel, RIRs cached per position."""
+    hop = int(round(MOVING_HOP_S * scene.sample_rate))
+    x, n = mono.data, mono.n_samples
+    n_grains = int(np.ceil(n / hop))
+    windows = render._grain_windows(n_grains, hop)
+    out = np.zeros((n, 2))
+    cache = {}
+    for j in range(n_grains):
+        pos = source.position_at(j * MOVING_HOP_S)
+        key = tuple(np.round(pos, 9))
+        if key not in cache:
+            cache[key] = rir_for(scene, pos)
+        start = j * hop
+        grain = x[start:start + 2 * hop]
+        for ch in range(2):
+            seg = oaconvolve(grain * windows[j, :grain.size], cache[key].samples[ch])
+            stop = min(start + seg.size, n)
+            out[start:stop, ch] += seg[:stop - start]
+    return out
+
+
+@pytest.mark.parametrize("case", [_outdoor_sweep, _small_room_sweep, _degenerate_motion])
+def test_moving_render_matches_per_grain_reference(case, noise_clip, monkeypatch):
+    clip, scene, src = case(noise_clip)
+    built, calls = {}, []
+
+    def rir_once(scene, pos):
+        key = tuple(np.round(pos, 9))
+        if key not in built:
+            built[key] = stereo_rir_for(scene, pos)
+        return built[key]
+
+    def counted(scene, pos):
+        calls.append(tuple(np.round(pos, 9)))
+        return rir_once(scene, pos)
+
+    monkeypatch.setattr(render, "stereo_rir_for", counted)
+    got = render_moving(clip, scene, src).data
+    want = _per_grain_reference(clip, scene, src, rir_once)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # one RIR per run of consecutive grains at the same position
+    n_grains = int(np.ceil(clip.n_samples / int(round(MOVING_HOP_S * 16000))))
+    keys = [tuple(np.round(src.position_at(j * MOVING_HOP_S), 9)) for j in range(n_grains)]
+    runs = [k for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
+    assert calls == runs
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from stereoscene.acoustics import RirKernel, render_static, stereo_rir_for
+from stereoscene.acoustics import render_static, stereo_rir_for
 from stereoscene.audio_io import AudioBuffer
 from stereoscene.metrics import tdoa_series
 from stereoscene.scene import MicArray, SceneSpec, SourceSpec
@@ -24,8 +24,7 @@ def render_at(theta_deg: float, distance: float, spacing: float, seed: int):
     rng = np.random.default_rng(seed)
     mono = AudioBuffer(rng.standard_normal(16000 * 10) * 0.3, 16000)
     rir = stereo_rir_for(scene, np.asarray(pos))
-    out = render_static(mono, RirKernel(rir.samples[0:1], 16000),
-                        RirKernel(rir.samples[1:2], 16000))
+    out = render_static(mono, rir)
     rms = float(np.sqrt(np.mean(out.data ** 2)))
     return AudioBuffer(out.data / rms * 10 ** (-8 / 20), 16000)
 

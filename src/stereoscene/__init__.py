@@ -55,13 +55,7 @@ from .metrics import (
     gcc_phat,
     tdoa_series,
 )
-from .captions import (
-    CaptionParseError,
-    LlmClientConfig,
-    generate_caption,
-    induce_via_llm,
-    parse_caption,
-)
+from .captions import CaptionParseError, generate_caption, parse_caption
 from .pipeline import (
     DatasetIndex,
     ManifestEntry,

@@ -52,17 +52,9 @@ class AbsorptionSet:
     def uniform(alpha: float) -> "AbsorptionSet":
         return AbsorptionSet(tuple([float(alpha)] * 6))
 
-    @staticmethod
-    def anechoic() -> "AbsorptionSet":
-        return AbsorptionSet.uniform(1.0)
-
     @property
     def reflection_factors(self) -> np.ndarray:
         return np.sqrt(1.0 - np.asarray(self.coefficients, dtype=np.float64))
-
-    @property
-    def is_anechoic(self) -> bool:
-        return bool(np.all(np.asarray(self.coefficients) >= 1.0))
 
 
 @dataclass(frozen=True)
@@ -77,10 +69,6 @@ class RirKernel:
         if not np.all(np.isfinite(s)):
             raise AcousticsError("RIR contains non-finite samples")
         object.__setattr__(self, "samples", s)
-
-    @property
-    def n_channels(self) -> int:
-        return self.samples.shape[0]
 
     @property
     def length(self) -> int:
@@ -228,8 +216,7 @@ def _image_lattice(orders: tuple, coefficients: tuple):
 
 
 def compute_rir(room_dims, absorption: AbsorptionSet, source_pos, mic_pos,
-                fs: int = 16000, length_s: float | None = None,
-                max_order: int | None = None) -> RirKernel:
+                fs: int = 16000, length_s: float | None = None) -> RirKernel:
     """Image-source impulse response for a shoebox room.
 
     ``mic_pos`` may be one position (3,) or several (M, 3). The response
@@ -243,24 +230,17 @@ def compute_rir(room_dims, absorption: AbsorptionSet, source_pos, mic_pos,
     mics = np.atleast_2d(np.asarray(mic_pos, dtype=np.float64))
     if np.any(src <= 0) or np.any(src >= dims):
         raise AcousticsError("source must be strictly inside the room")
-    for m in mics:
-        if np.allclose(m, src):
-            raise AcousticsError("source and microphone positions coincide")
-
-    direct = float(np.linalg.norm(mics - src[None, :], axis=1).min())
-    if absorption.is_anechoic:
-        return direct_path_rir(src, mics, fs, length_s)
+    dists = np.linalg.norm(mics - src[None, :], axis=1)
+    if np.any(dists <= 0):
+        raise AcousticsError("source and microphone positions coincide")
 
     if length_s is None:
         decay = eyring_rt60(absorption, dims)
-        length_s = direct / SPEED_OF_SOUND + 1.3 * decay
+        length_s = float(dists.min()) / SPEED_OF_SOUND + 1.3 * decay
     n_samples = int(round(length_s * fs)) + FRAC_DELAY_TAPS
 
     max_dist = (n_samples + FRAC_DELAY_TAPS) / fs * SPEED_OF_SOUND
-    if max_order is not None:
-        orders = np.full(3, int(max_order), dtype=np.int64)
-    else:
-        orders = np.ceil(max_dist / (2.0 * dims)).astype(np.int64)
+    orders = np.ceil(max_dist / (2.0 * dims)).astype(np.int64)
 
     h = np.zeros((mics.shape[0], n_samples))
     grid, parities, refl_amps = _image_lattice(
@@ -284,24 +264,18 @@ def compute_rir(room_dims, absorption: AbsorptionSet, source_pos, mic_pos,
     return RirKernel(samples=h, sample_rate=fs)
 
 
-def render_static(mono: AudioBuffer, rir_left, rir_right) -> AudioBuffer:
-    """Convolve a mono buffer with left/right RIRs; output keeps the input length."""
+def render_static(mono: AudioBuffer, rir: RirKernel) -> AudioBuffer:
+    """Convolve a mono buffer with a left/right RIR; output keeps the input length."""
     if mono.channels != 1:
         raise AcousticsError("render_static expects a mono buffer")
-    kernels = []
-    for rir in (rir_left, rir_right):
-        if isinstance(rir, RirKernel):
-            if rir.sample_rate != mono.sample_rate:
-                raise AcousticsError(
-                    f"sample-rate mismatch: clip {mono.sample_rate}, rir {rir.sample_rate}"
-                )
-            kernels.append(rir.channel(0))
-        else:
-            kernels.append(np.asarray(rir, dtype=np.float64))
+    if rir.sample_rate != mono.sample_rate:
+        raise AcousticsError(
+            f"sample-rate mismatch: clip {mono.sample_rate}, rir {rir.sample_rate}"
+        )
     n = mono.n_samples
     out = np.zeros((n, 2))
-    for ch, k in enumerate(kernels):
-        out[:, ch] = oaconvolve(mono.data, k)[:n]
+    for ch in range(2):
+        out[:, ch] = oaconvolve(mono.data, rir.channel(ch))[:n]
     return AudioBuffer(out, mono.sample_rate)
 
 
@@ -324,12 +298,16 @@ def schroeder_decay_db(rir: np.ndarray) -> np.ndarray:
         return 10.0 * np.log10(np.maximum(energy / total, 1e-300))
 
 
-def _band_rt60(band_rir: np.ndarray, fs: int, fit_db=(-5.0, -35.0)) -> float | None:
+RT60_BANDS_HZ = ((250, 500), (500, 1000), (1000, 2000), (2000, 4000))
+RT60_FIT_DB = (-5.0, -35.0)  # Schroeder-curve span the decay slope is regressed over
+
+
+def _band_rt60(band_rir: np.ndarray, fs: int) -> float | None:
     edc = schroeder_decay_db(band_rir)
     onset = int(np.argmax(np.abs(band_rir) > np.max(np.abs(band_rir)) * 0.5))
     edc = edc[onset:] - edc[onset]
     t = np.arange(edc.size) / fs
-    mask = (edc <= fit_db[0]) & (edc >= fit_db[1])
+    mask = (edc <= RT60_FIT_DB[0]) & (edc >= RT60_FIT_DB[1])
     if mask.sum() < 8:
         return None
     slope = np.polyfit(t[mask], edc[mask], 1)[0]
@@ -338,10 +316,7 @@ def _band_rt60(band_rir: np.ndarray, fs: int, fit_db=(-5.0, -35.0)) -> float | N
     return float(-60.0 / slope)
 
 
-RT60_BANDS_HZ = ((250, 500), (500, 1000), (1000, 2000), (2000, 4000))
-
-
-def measure_rt60(rir: np.ndarray, fs: int, bands=RT60_BANDS_HZ) -> float:
+def measure_rt60(rir: np.ndarray, fs: int) -> float:
     """Decay time to -60 dB from the Schroeder curve.
 
     The curve slope is regressed over the [-5, -35] dB span in octave bands
@@ -353,7 +328,7 @@ def measure_rt60(rir: np.ndarray, fs: int, bands=RT60_BANDS_HZ) -> float:
 
     x = np.asarray(rir, dtype=np.float64)
     estimates = []
-    for f_lo, f_hi in bands:
+    for f_lo, f_hi in RT60_BANDS_HZ:
         sos = butter(4, (f_lo, min(f_hi, 0.49 * fs)), "bandpass", fs=fs, output="sos")
         est = _band_rt60(sosfiltfilt(sos, x), fs)
         if est is not None:

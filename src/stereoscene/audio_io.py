@@ -9,8 +9,6 @@ import numpy as np
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
-DEFAULT_SAMPLE_RATE = 16000
-
 
 class AudioFormatError(ValueError):
     pass
@@ -85,18 +83,3 @@ def write_wav(path, buf: AudioBuffer, pcm16: bool = False) -> None:
     else:
         wavfile.write(str(path), buf.sample_rate, data.astype(np.float32))
 
-
-def peak_dbfs(data: np.ndarray) -> float:
-    peak = float(np.max(np.abs(data))) if data.size else 0.0
-    if peak <= 0.0:
-        return -np.inf
-    return 20.0 * np.log10(peak)
-
-
-def rms_dbfs(data: np.ndarray) -> float:
-    if data.size == 0:
-        return -np.inf
-    rms = float(np.sqrt(np.mean(np.square(data, dtype=np.float64))))
-    if rms <= 0.0:
-        return -np.inf
-    return 20.0 * np.log10(rms)

@@ -1,38 +1,18 @@
 """Bidirectional translation between spatial captions and attribute records.
 
 The parser is deterministic and total: any text yields either an
-AttributeRecord or a CaptionParseError. A pluggable HTTP client can delegate
-attribute induction to an external chat-completion endpoint; every failure
-degrades to the rule-based parser.
+AttributeRecord or a CaptionParseError.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
-from pathlib import Path
 
 from .scene import AttributeRecord, SourceAttributes
-
-PROMPT_DIR = Path(__file__).parent / "prompts"
 
 
 class CaptionParseError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class CaptionClause:
-    event: str
-    direction_phrase: str
-    movement_phrase: str
-
-
-@dataclass(frozen=True)
-class SpatialCaption:
-    text: str
-    clauses: tuple[CaptionClause, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +189,8 @@ def _event_from_clause(clause: str, cut: int | None, cut_end: int | None = None)
     return event
 
 
-def _parse_clause(clause: str):
-    """One clause -> (SourceAttributes, CaptionClause)."""
+def _parse_clause(clause: str) -> SourceAttributes:
+    """One clause -> its SourceAttributes."""
     flags: list[str] = []
 
     instant_parts = _INSTANT_SPLIT_RE.split(clause, maxsplit=1)
@@ -223,14 +203,12 @@ def _parse_clause(clause: str):
                                    cut_m.end() if cut_m else None)
         if h_label is None and h_deg is None:
             flags.append("direction_unspecified")
-        attrs = SourceAttributes(
+        return SourceAttributes(
             event=event, direction_label=h_label, direction_degrees=h_deg,
             distance_label=h_dist, movement="instant", speed_label="instant",
             end_direction_label=t_label, end_direction_degrees=t_deg,
             end_distance_label=t_dist, flags=tuple(flags),
         )
-        return attrs, CaptionClause(event=event, direction_phrase=head.strip(),
-                                    movement_phrase="then another " + tail.strip())
 
     move = _FROM_TO_RE.search(clause)
     if move:
@@ -250,14 +228,12 @@ def _parse_clause(clause: str):
             if ctx and ctx.start() < cut:
                 cut = ctx.start()
             event = _event_from_clause(clause, cut, move.end())
-            attrs = SourceAttributes(
+            return SourceAttributes(
                 event=event, direction_label=s_label, direction_degrees=s_deg,
                 distance_label=s_dist, movement=movement, speed_label=speed,
                 end_direction_label=d_label, end_direction_degrees=d_deg,
                 end_distance_label=d_dist, flags=tuple(flags),
             )
-            return attrs, CaptionClause(event=event, direction_phrase=move.group("src"),
-                                        movement_phrase=move.group(0))
 
     # still source
     label, degrees, distance = _resolve_direction_phrase(clause)
@@ -273,21 +249,14 @@ def _parse_clause(clause: str):
                                cut_m.end() if cut_m else None)
     if label is None and degrees is None:
         flags.append("direction_unspecified")
-    attrs = SourceAttributes(
+    return SourceAttributes(
         event=event, direction_label=label, direction_degrees=degrees,
         distance_label=distance, movement="still", flags=tuple(flags),
     )
-    dir_phrase = clause[cut_m.start():].strip(" ,.;") if cut_m else ""
-    return attrs, CaptionClause(event=event, direction_phrase=dir_phrase, movement_phrase="")
 
 
 def parse_caption(text: str) -> AttributeRecord:
-    record, _ = parse_caption_detailed(text)
-    return record
-
-
-def parse_caption_detailed(text: str):
-    """Parse a caption into (AttributeRecord, SpatialCaption).
+    """Parse a caption into an AttributeRecord.
 
     Raises CaptionParseError when the text is empty or no clause yields a
     sound-event phrase.
@@ -299,16 +268,10 @@ def parse_caption_detailed(text: str):
     if not clauses:
         raise CaptionParseError(f"no sound event found in caption: {text!r}")
 
-    sources, parsed_clauses = [], []
-    for clause in clauses:
-        attrs, pc = _parse_clause(clause)
-        if attrs.event:
-            sources.append(attrs)
-            parsed_clauses.append(pc)
+    sources = tuple(attrs for attrs in map(_parse_clause, clauses) if attrs.event)
     if not sources:
         raise CaptionParseError(f"no sound event found in caption: {text!r}")
-    record = AttributeRecord(scene_size_label=size_label, sources=tuple(sources))
-    return record, SpatialCaption(text=text, clauses=tuple(parsed_clauses))
+    return AttributeRecord(scene_size_label=size_label, sources=sources)
 
 
 # ---------------------------------------------------------------------------
@@ -400,133 +363,3 @@ def generate_caption(record: AttributeRecord, event_phrases: list[str] | None = 
         text += f", {_SIZE_PHRASE[record.scene_size_label]}"
     text = text[0].upper() + text[1:] + "."
     return text
-
-
-# ---------------------------------------------------------------------------
-# External LLM client
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class LlmClientConfig:
-    endpoint: str
-    model: str = "gpt-4"
-    prompt_template: str = "caption_attributes_v1"
-    timeout_s: float = 30.0
-
-    def __post_init__(self):
-        if not re.match(r"^https?://", self.endpoint):
-            raise ValueError(f"malformed endpoint {self.endpoint!r}")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
-
-
-_SIZE_FROM_CODE = {1: "outdoors", 2: "large", 3: "moderate", 4: "small"}
-_DIR_FROM_CODE = {1: "left", 2: "front_left", 3: "front", 4: "front_right", 5: "right"}
-_DIST_FROM_CODE = {1: "far", 2: "moderate", 3: "near"}
-_SPEED_FROM_CODE = {1: "slow", 2: "moderate", 3: "fast", 4: "instant"}
-
-
-def _direction_from_value(value):
-    if value is None:
-        return None, None
-    v = float(value)
-    if v in _DIR_FROM_CODE and float(v).is_integer():
-        return _DIR_FROM_CODE[int(v)], None
-    # decimal scale: 1 = left (180 deg) .. 5 = right (0 deg), linear
-    degrees = float(min(max((5.0 - v) * 45.0, 0.0), 180.0))
-    return None, degrees
-
-
-def record_from_llm_json(data: dict) -> AttributeRecord:
-    """Translate the endpoint's JSON schema into an AttributeRecord."""
-    if int(data.get("sound", 1)) == 0:
-        raise CaptionParseError("endpoint judged the scene silent")
-    size = data.get("size")
-    size_label = _SIZE_FROM_CODE.get(int(size)) if size is not None else None
-    objects = data.get("objects") or {}
-    if not objects:
-        raise CaptionParseError("endpoint returned no sounding objects")
-    sources = []
-    for name, attrs in objects.items():
-        label, degrees = _direction_from_value(attrs.get("init_direction"))
-        moving = int(attrs.get("moving", 0)) == 1
-        speed = _SPEED_FROM_CODE.get(int(attrs["speed"])) if attrs.get("speed") else None
-        end_label, end_degrees = _direction_from_value(attrs.get("end_direction"))
-        if moving and speed is None:
-            speed = "moderate"
-        movement = "still"
-        if moving:
-            movement = "instant" if speed == "instant" else "moving"
-        dist = attrs.get("init_dis")
-        end_dist = attrs.get("end_dis")
-        sources.append(
-            SourceAttributes(
-                event=str(name),
-                direction_label=label, direction_degrees=degrees,
-                distance_label=_DIST_FROM_CODE.get(int(dist)) if dist else None,
-                movement=movement, speed_label=speed if movement != "still" else None,
-                end_direction_label=end_label if movement != "still" else None,
-                end_direction_degrees=end_degrees if movement != "still" else None,
-                end_distance_label=_DIST_FROM_CODE.get(int(end_dist))
-                if (end_dist and movement != "still") else None,
-            )
-        )
-    return AttributeRecord(scene_size_label=size_label, sources=tuple(sources))
-
-
-def load_prompt_template(name: str) -> str:
-    path = PROMPT_DIR / f"{name}.txt"
-    return path.read_text(encoding="utf-8")
-
-
-def _fallback_record(text_or_meta, reason: str) -> AttributeRecord:
-    if isinstance(text_or_meta, dict):
-        caption = text_or_meta.get("caption", "")
-        if caption:
-            rec = parse_caption(caption)
-        else:
-            # image metadata: per-object horizontal position x in [0, 1]
-            # maps linearly to azimuth, x = 0 at the left edge
-            sources = tuple(
-                SourceAttributes(event=str(name), direction_degrees=180.0 * (1.0 - float(x)))
-                for name, (x, _y) in text_or_meta.get("objects", [])
-            )
-            if not sources:
-                raise CaptionParseError("image metadata lists no objects")
-            rec = AttributeRecord(scene_size_label=None, sources=sources)
-    else:
-        rec = parse_caption(text_or_meta)
-    return AttributeRecord(
-        scene_size_label=rec.scene_size_label,
-        sources=rec.sources,
-        flags=tuple(rec.flags) + ("fallback", f"fallback_reason:{reason}"),
-    )
-
-
-def induce_via_llm(text_or_meta, config: LlmClientConfig) -> AttributeRecord:
-    """Ask the configured endpoint for attributes; degrade to the parser.
-
-    Network errors, timeouts, non-JSON payloads, and schema violations all
-    fall back to parse_caption with the record flagged "fallback". Needs
-    ``requests`` (the ``llm`` extra).
-    """
-    import requests
-
-    template = load_prompt_template(config.prompt_template)
-    if isinstance(text_or_meta, dict):
-        user_input = json.dumps(text_or_meta, sort_keys=True)
-    else:
-        user_input = str(text_or_meta)
-    payload = {
-        "model": config.model,
-        "messages": [{"role": "user", "content": template.replace("{input}", user_input)}],
-    }
-    try:
-        resp = requests.post(config.endpoint, json=payload, timeout=config.timeout_s)
-        resp.raise_for_status()
-        body = resp.json()
-        content = body["choices"][0]["message"]["content"]
-        start = content.index("{")
-        data = json.loads(content[start:])
-        return record_from_llm_json(data)
-    except Exception as exc:  # any failure degrades to the deterministic parser
-        return _fallback_record(text_or_meta, type(exc).__name__)

@@ -82,11 +82,11 @@ class AzimuthStateMatrix:
         return AzimuthStateMatrix(data=data, kind=sidecar["kind"], sigma=sidecar.get("sigma"))
 
 
-def angle_to_bin(theta_deg: float, n_bins: int = L_AZI) -> float:
-    """Linear map from azimuth degrees to a real-valued bin in [1, n_bins]."""
+def angle_to_bin(theta_deg: float) -> float:
+    """Linear map from azimuth degrees to a real-valued bin in [1, L_AZI]."""
     if not (0.0 <= theta_deg <= 180.0):
         raise GuidanceError(f"angle {theta_deg} outside [0, 180]")
-    return 1.0 + (n_bins - 1) * theta_deg / 180.0
+    return 1.0 + (L_AZI - 1) * theta_deg / 180.0
 
 
 def interp_center(traj: BinTrajectory, t: float) -> float:
@@ -102,27 +102,25 @@ def interp_center(traj: BinTrajectory, t: float) -> float:
     return traj.mu_start + step
 
 
-def centers_over_time(traj: BinTrajectory, d_time: int = D_TIME) -> np.ndarray:
-    return np.array([interp_center(traj, t) for t in range(d_time)])
+def centers_over_time(traj: BinTrajectory) -> np.ndarray:
+    return np.array([interp_center(traj, t) for t in range(D_TIME)])
 
 
-def coarse_density(traj: BinTrajectory, sigma: float = COARSE_SIGMA,
-                   n_bins: int = L_AZI, d_time: int = D_TIME) -> np.ndarray:
+def coarse_density(traj: BinTrajectory, sigma: float = COARSE_SIGMA) -> np.ndarray:
     """Unnormalized Gaussian density over integer azimuth bins, (L, T)."""
     if sigma <= 0:
         raise GuidanceError("sigma must be positive")
-    mu = centers_over_time(traj, d_time)  # (T,)
-    l_grid = np.arange(1, n_bins + 1, dtype=np.float64)[:, None]  # (L, 1)
+    mu = centers_over_time(traj)  # (T,)
+    l_grid = np.arange(1, L_AZI + 1, dtype=np.float64)[:, None]  # (L, 1)
     diff = l_grid - mu[None, :]
     return np.exp(-(diff ** 2) / (2.0 * sigma ** 2)) / math.sqrt(2.0 * math.pi * sigma ** 2)
 
 
-def coarse_matrix(trajs, sigma: float = COARSE_SIGMA,
-                  n_bins: int = L_AZI, d_time: int = D_TIME) -> AzimuthStateMatrix:
+def coarse_matrix(trajs, sigma: float = COARSE_SIGMA) -> AzimuthStateMatrix:
     """Gaussian guidance, azimuth-normalized so every time column sums to 1."""
     slabs = []
     for traj in trajs:
-        dens = coarse_density(traj, sigma, n_bins, d_time)
+        dens = coarse_density(traj, sigma)
         # summing in sorted order keeps normalization invariant under
         # azimuth reflection (same multiset, same rounding)
         sums = np.sort(dens, axis=0).sum(axis=0, keepdims=True)
@@ -130,36 +128,35 @@ def coarse_matrix(trajs, sigma: float = COARSE_SIGMA,
     return AzimuthStateMatrix(data=np.stack(slabs), kind="coarse", sigma=sigma)
 
 
-def fine_matrix(trajs, n_bins: int = L_AZI, d_time: int = D_TIME) -> AzimuthStateMatrix:
+def fine_matrix(trajs) -> AzimuthStateMatrix:
     """One-hot guidance at floor(center), clamped to the bin range."""
     slabs = []
     for traj in trajs:
-        mu = centers_over_time(traj, d_time)
-        hot = np.clip(np.floor(mu).astype(int), 1, n_bins)
-        slab = np.zeros((n_bins, d_time))
-        slab[hot - 1, np.arange(d_time)] = 1.0
+        mu = centers_over_time(traj)
+        hot = np.clip(np.floor(mu).astype(int), 1, L_AZI)
+        slab = np.zeros((L_AZI, D_TIME))
+        slab[hot - 1, np.arange(D_TIME)] = 1.0
         slabs.append(slab)
     return AzimuthStateMatrix(data=np.stack(slabs), kind="fine", sigma=None)
 
 
-def bin_trajectory_for_source(src: SourceSpec, t_total: float,
-                              n_bins: int = L_AZI, d_time: int = D_TIME) -> BinTrajectory:
+def bin_trajectory_for_source(src: SourceSpec, t_total: float) -> BinTrajectory:
     """Quantize a SourceSpec's angles and motion timing onto the matrix grid."""
-    mu_start = angle_to_bin(src.angle, n_bins)
+    mu_start = angle_to_bin(src.angle)
     if src.movement == "still":
         return BinTrajectory(mu_start=mu_start, mu_end=mu_start, start_bin_t=0, duration_bins=0)
     end_angle = src.end_angle if src.end_angle is not None else src.angle
-    mu_end = angle_to_bin(end_angle, n_bins)
+    mu_end = angle_to_bin(end_angle)
     if src.movement == "instant":
-        t0 = int(np.clip(round(src.instant_time / t_total * d_time), 0, d_time))
+        t0 = int(np.clip(round(src.instant_time / t_total * D_TIME), 0, D_TIME))
         return BinTrajectory(mu_start=mu_start, mu_end=mu_end, start_bin_t=t0, duration_bins=0)
-    t0 = int(np.clip(round(src.move_start / t_total * d_time), 0, d_time))
-    dur = int(round(src.move_interval / t_total * d_time))
-    dur = min(dur, d_time - t0)
+    t0 = int(np.clip(round(src.move_start / t_total * D_TIME), 0, D_TIME))
+    dur = int(round(src.move_interval / t_total * D_TIME))
+    dur = min(dur, D_TIME - t0)
     return BinTrajectory(mu_start=mu_start, mu_end=mu_end, start_bin_t=t0, duration_bins=dur)
 
 
-def matrices_for_scene(scene: SceneSpec, sigma: float = COARSE_SIGMA):
+def matrices_for_scene(scene: SceneSpec):
     """Coarse and fine matrices for every source in a scene."""
     trajs = [bin_trajectory_for_source(s, scene.duration) for s in scene.sources]
-    return coarse_matrix(trajs, sigma=sigma), fine_matrix(trajs)
+    return coarse_matrix(trajs), fine_matrix(trajs)

@@ -167,36 +167,34 @@ def _log_band_energies(frames: np.ndarray, fs: int) -> np.ndarray:
     return np.log10(np.stack(sums, axis=1) + 1e-12)
 
 
-def tdoa_series(stereo: AudioBuffer, window_s: float = TDOA_WINDOW_S,
-                gate_dbfs: float = SILENCE_GATE_DBFS, max_lag_s: float = MAX_LAG_S,
-                interp: int = GCC_INTERP) -> TdoaSeries:
+def tdoa_series(stereo: AudioBuffer) -> TdoaSeries:
     """Per-window TDOA with silence gating, in one pass over the clip.
 
-    A window is valid when the louder channel's RMS reaches ``gate_dbfs``;
-    only valid windows get a GCC-PHAT estimate and a feature row (the
-    peak-normalised correlogram at 64 lags over +-max_lag_s, then 8 log band
-    energies per channel). All valid windows go through one stacked
-    GCC-PHAT call.
+    A TDOA_WINDOW_S window is valid when the louder channel's RMS reaches
+    SILENCE_GATE_DBFS; only valid windows get a GCC-PHAT estimate and a
+    feature row (the peak-normalised correlogram at 64 lags over
+    +-MAX_LAG_S, then 8 log band energies per channel). All valid windows go
+    through one stacked GCC-PHAT call.
     """
     if stereo.channels != 2:
         raise MetricError("tdoa_series expects a stereo buffer")
     fs = stereo.sample_rate
-    win = int(round(window_s * fs))
+    win = int(round(TDOA_WINDOW_S * fs))
     n_win = stereo.n_samples // win
     left = stereo.channel(0)[:n_win * win].reshape(n_win, win)
     right = stereo.channel(1)[:n_win * win].reshape(n_win, win)
     rms = np.maximum(np.sqrt(np.mean(left ** 2, axis=1)), np.sqrt(np.mean(right ** 2, axis=1)))
-    valid = rms >= 10.0 ** (gate_dbfs / 20.0)
+    valid = rms >= 10.0 ** (SILENCE_GATE_DBFS / 20.0)
 
     seg_l, seg_r = left[valid], right[valid]
-    lags, cc = gcc_phat_correlation(seg_l, seg_r, fs, max_lag_s, interp)
+    lags, cc = gcc_phat_correlation(seg_l, seg_r, fs)
     mag = np.abs(cc)
     tdoa = np.zeros(n_win)
     tdoa[valid] = lags[np.argmax(mag, axis=1)]
     peak = mag.max(axis=1, keepdims=True)
     cc = cc / np.where(peak > 0, peak, 1.0)
     # linear interpolation onto the lag grid, as np.interp does per row
-    lag_grid = np.linspace(-max_lag_s, max_lag_s, _EMBED_LAGS)
+    lag_grid = np.linspace(-MAX_LAG_S, MAX_LAG_S, _EMBED_LAGS)
     pos = np.interp(lag_grid, lags, np.arange(lags.size))
     i0 = np.minimum(pos.astype(int), lags.size - 2)
     frac = pos - i0
@@ -206,7 +204,7 @@ def tdoa_series(stereo: AudioBuffer, window_s: float = TDOA_WINDOW_S,
 
     starts = (np.arange(n_win) * win / fs).tolist()
     windows = tuple(map(TdoaWindow, starts, tdoa.tolist(), valid.tolist()))
-    return TdoaSeries(windows=windows, window_s=window_s, features=features)
+    return TdoaSeries(windows=windows, features=features)
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +218,23 @@ class PairRow:
     abs_error: float | None
 
 
-def gcc_mae(generated: dict[str, TdoaSeries], reference: dict[str, TdoaSeries],
-            pairing: list[tuple[str, str]] | None = None):
+def gcc_mae(generated: dict[str, TdoaSeries], reference: dict[str, TdoaSeries]):
     """Mean absolute difference of per-clip mean TDOA (ms), scaled by 100.
 
-    Returns (score, rows, skipped_ids). A pair lands in ``skipped`` when
-    either side has no valid windows.
+    Clips pair by id. Returns (score, rows, skipped_ids). A pair lands in
+    ``skipped`` when either side has no valid windows.
     """
-    if pairing is None:
-        pairing = [(k, k) for k in sorted(generated) if k in reference]
     rows, skipped, errors = [], [], []
-    for gen_id, ref_id in pairing:
-        g = generated[gen_id].mean_tdoa_ms()
-        r = reference[ref_id].mean_tdoa_ms()
+    for clip_id in sorted(generated.keys() & reference.keys()):
+        g = generated[clip_id].mean_tdoa_ms()
+        r = reference[clip_id].mean_tdoa_ms()
         if g is None or r is None:
-            skipped.append(gen_id)
-            rows.append(PairRow(gen_id, g, r, None))
+            skipped.append(clip_id)
+            rows.append(PairRow(clip_id, g, r, None))
             continue
         err = abs(g - r) * 100.0
         errors.append(err)
-        rows.append(PairRow(gen_id, g, r, err))
+        rows.append(PairRow(clip_id, g, r, err))
     if not errors and not skipped:
         raise MetricError("no pairs to score")
     score = float(np.mean(errors)) if errors else float("nan")
@@ -313,8 +308,7 @@ def frechet_distance(stats_a: EmbeddingStats, stats_b: EmbeddingStats) -> float:
     return max(val, 0.0)
 
 
-def default_embed(stereo: AudioBuffer, window_s: float = TDOA_WINDOW_S,
-                  gate_dbfs: float = SILENCE_GATE_DBFS) -> np.ndarray:
+def default_embed(stereo: AudioBuffer) -> np.ndarray:
     """Deterministic 2560-d stereo embedding.
 
     Per valid 0.1 s window: the PHAT correlogram sampled at 64 lags spanning
@@ -323,7 +317,7 @@ def default_embed(stereo: AudioBuffer, window_s: float = TDOA_WINDOW_S,
     and max: 80 x 16 x 2 = 2560 dims. All-silent clips embed to the zero
     vector.
     """
-    return tdoa_series(stereo, window_s, gate_dbfs).embedding()
+    return tdoa_series(stereo).embedding()
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,16 @@ class ManifestEntry:
 
     @staticmethod
     def from_dict(d: dict) -> "ManifestEntry":
+        if not isinstance(d, dict):
+            raise ManifestError(f"entry must be a JSON object, got {type(d).__name__}")
         attrs = d.get("attributes")
+        if attrs and not isinstance(attrs, dict):
+            raise ManifestError(f"attributes must be an object, got {type(attrs).__name__}")
         paths = d.get("audio")
         if isinstance(paths, str):
             paths = [paths]
+        if paths and not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
+            raise ManifestError("audio must be a path or a list of paths")
         return ManifestEntry(
             clip_id=str(d["id"]),
             audio_paths=tuple(paths or ()),

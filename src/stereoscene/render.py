@@ -32,19 +32,17 @@ class RenderError(ValueError):
 class ActivitySegment:
     start: float
     end: float
-    peak_dbfs: float
 
     @property
     def length(self) -> float:
         return self.end - self.start
 
 
-def detect_activity(mono: AudioBuffer, level_threshold_dbfs: float = ACTIVITY_THRESHOLD_DBFS,
-                    min_len_s: float = MIN_SEGMENT_S) -> list[ActivitySegment]:
+def detect_activity(mono: AudioBuffer) -> list[ActivitySegment]:
     """Gated short-time RMS segmentation (25 ms window, 10 ms hop).
 
-    Frames whose RMS is at or above the threshold are merged into segments;
-    segments shorter than ``min_len_s`` are discarded.
+    Frames whose RMS is at or above ACTIVITY_THRESHOLD_DBFS are merged into
+    segments; segments shorter than MIN_SEGMENT_S are discarded.
     """
     if mono.channels != 1:
         raise RenderError("activity detection expects mono input")
@@ -55,7 +53,7 @@ def detect_activity(mono: AudioBuffer, level_threshold_dbfs: float = ACTIVITY_TH
     if x.size < win:
         x = np.pad(x, (0, win - x.size))
     n_frames = 1 + (x.size - win) // hop
-    threshold_rms = 10.0 ** (level_threshold_dbfs / 20.0)
+    threshold_rms = 10.0 ** (ACTIVITY_THRESHOLD_DBFS / 20.0)
 
     starts = np.arange(n_frames) * hop
     sq = np.concatenate([[0.0], np.cumsum(np.square(x))])
@@ -73,11 +71,8 @@ def detect_activity(mono: AudioBuffer, level_threshold_dbfs: float = ACTIVITY_TH
             j += 1
         start_s = starts[i] / fs
         end_s = min((starts[j] + win) / fs, mono.duration)
-        if end_s - start_s >= min_len_s:
-            seg = x[starts[i]: starts[j] + win]
-            peak = np.max(np.abs(seg))
-            peak_dbfs = 20.0 * np.log10(peak) if peak > 0 else -np.inf
-            segments.append(ActivitySegment(start=start_s, end=end_s, peak_dbfs=peak_dbfs))
+        if end_s - start_s >= MIN_SEGMENT_S:
+            segments.append(ActivitySegment(start=start_s, end=end_s))
         i = j + 1
     return segments
 
@@ -132,11 +127,10 @@ def _grain_windows(n_grains: int, hop: int) -> np.ndarray:
     return w
 
 
-def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec,
-                  hop_s: float = MOVING_HOP_S) -> AudioBuffer:
+def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> AudioBuffer:
     """Render a moving or instant source by time-varying convolution.
 
-    The trajectory is sampled every ``hop_s``; the input is cut into
+    The trajectory is sampled every MOVING_HOP_S; the input is cut into
     2*hop grains with raised-cosine crossfades, each convolved with the RIR
     at its trajectory point and overlap-added. Consecutive grains at the same
     position form a run: the run's windows are summed and its input is
@@ -147,8 +141,7 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec,
     """
     if source.movement == "still":
         rir = stereo_rir_for(scene, np.asarray(source.start_pos))
-        return render_static(mono, RirKernel(rir.samples[0:1], rir.sample_rate),
-                             RirKernel(rir.samples[1:2], rir.sample_rate))
+        return render_static(mono, rir)
     if mono.channels != 1:
         raise RenderError("render_moving expects a mono buffer")
     if mono.sample_rate != scene.sample_rate:
@@ -157,7 +150,7 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec,
         )
     fs = scene.sample_rate
     n = mono.n_samples
-    hop = int(round(hop_s * fs))
+    hop = int(round(MOVING_HOP_S * fs))
 
     if source.movement == "instant":
         return _render_instant(mono, scene, source, hop)
@@ -165,7 +158,7 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec,
     x = np.asarray(mono.data, dtype=np.float64)
     n_grains = int(np.ceil(n / hop))
     windows = _grain_windows(n_grains, hop)
-    positions = [source.position_at(j * hop_s) for j in range(n_grains)]
+    positions = [source.position_at(j * MOVING_HOP_S) for j in range(n_grains)]
     keys = [tuple(np.round(pos, 9)) for pos in positions]
     out = np.zeros((n, 2))
     singles: list[tuple[int, RirKernel]] = []

@@ -12,8 +12,6 @@ import hashlib
 
 import numpy as np
 
-STREAM_SCHEME_VERSION = 1
-
 
 def _derive_key(parent: bytes, label: str) -> bytes:
     h = hashlib.blake2b(digest_size=16)

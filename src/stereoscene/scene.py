@@ -362,15 +362,15 @@ def sample_room(size_label: str, rng: SeededRng) -> RoomSample:
     return RoomSample(dims=dims, rt60=rt60, base_size=r)
 
 
-def sample_mic_array(room_dims, rng: SeededRng, base_size: float | None = None) -> MicArray:
+def sample_mic_array(room_dims, rng: SeededRng, base_size: float) -> MicArray:
     """Place the two-mic array near the room center.
 
-    Center jitter per axis is U(-0.1r, 0.1r); the half spacing is
-    U(0.08, 0.09) m. Jitter is redrawn (up to 100 tries) until both capsules
-    sit strictly inside the room.
+    Center jitter per axis is U(-0.1r, 0.1r) with r = ``base_size``; the half
+    spacing is U(0.08, 0.09) m. Jitter is redrawn (up to 100 tries) until both
+    capsules sit strictly inside the room.
     """
     dims = np.asarray(room_dims, dtype=np.float64)
-    r = float(base_size) if base_size is not None else float(np.mean(dims))
+    r = float(base_size)
     half_spacing = float(rng.uniform(*HALF_SPACING_RANGE))
     for _ in range(MAX_PLACEMENT_TRIES):
         center = tuple(float(dims[i] / 2.0 + rng.uniform(-0.1 * r, 0.1 * r)) for i in range(3))
@@ -533,7 +533,6 @@ def sample_scene(
     rng: SeededRng,
     duration: float = 10.0,
     sample_rate: int = 16000,
-    audio_refs: list[str] | None = None,
 ) -> SceneSpec:
     """Draw a full SceneSpec from an attribute record.
 
@@ -557,13 +556,12 @@ def sample_scene(
         end_direction = attrs.end_direction_degrees
         if end_direction is None:
             end_direction = attrs.end_direction_label
-        ref = audio_refs[i] if audio_refs else attrs.event
         sources.append(
             build_trajectory(
                 placement, attrs.movement, attrs.speed_label, duration, srng,
                 room.dims, mic, distance_label=attrs.distance_label,
                 end_direction=end_direction,
-                end_distance_label=attrs.end_distance_label, audio_ref=ref,
+                end_distance_label=attrs.end_distance_label, audio_ref=attrs.event,
             )
         )
 

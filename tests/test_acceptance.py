@@ -14,7 +14,6 @@ import pytest
 from scipy import linalg as sla
 
 from stereoscene.acoustics import (
-    RirKernel,
     compute_rir,
     measure_rt60,
     render_static,
@@ -72,8 +71,7 @@ def _noise(seed, seconds=10, level=0.3):
 
 def _render_still(scene, pos, noise_seed):
     rir = stereo_rir_for(scene, np.asarray(pos))
-    out = render_static(_noise(noise_seed), RirKernel(rir.samples[0:1], 16000),
-                        RirKernel(rir.samples[1:2], 16000))
+    out = render_static(_noise(noise_seed), rir)
     return rms_normalize(out, target_dbfs=-8.0)
 
 

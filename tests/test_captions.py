@@ -1,21 +1,8 @@
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stereoscene.captions import (
-    CaptionParseError,
-    LlmClientConfig,
-    generate_caption,
-    induce_via_llm,
-    load_prompt_template,
-    parse_caption,
-    parse_caption_detailed,
-    record_from_llm_json,
-)
+from stereoscene.captions import CaptionParseError, generate_caption, parse_caption
 from stereoscene.rng import SeededRng
 from stereoscene.scene import (
     AttributeRecord,
@@ -129,12 +116,14 @@ def test_empty_caption_errors():
 
 
 def test_clause_decomposition_exposed():
-    record, caption = parse_caption_detailed(
+    record = parse_caption(
         "A dog barks in front while a guitar strums from right to front left moderately."
     )
-    assert len(caption.clauses) == 2
-    assert caption.clauses[0].event == "A dog barks"
-    assert "from right to front left" in caption.clauses[1].movement_phrase
+    assert len(record.sources) == 2
+    assert record.sources[0].event == "A dog barks"
+    second = record.sources[1]
+    assert second.movement == "moving"
+    assert (second.direction_label, second.end_direction_label) == ("right", "front_left")
 
 
 @settings(max_examples=300, deadline=None)
@@ -255,135 +244,3 @@ def test_roundtrip_preserves_labels_1000_records():
             sources=tuple(sources))
         back = parse_caption(generate_caption(rec))
         assert _labels(back) == _labels(rec)
-
-
-# ---------------------------------------------------------------------------
-# LLM client
-# ---------------------------------------------------------------------------
-TABLE_STYLE_RESPONSE = {
-    "sound": 1,
-    "size": 3,
-    "objects": {
-        "Man": {"init_direction": 3, "init_dis": 3, "moving": 0},
-        "Dog": {"init_direction": 4, "init_dis": 3, "moving": 1,
-                "end_direction": 1, "end_dis": 2, "speed": 2},
-    },
-}
-
-
-class _MockHandler(BaseHTTPRequestHandler):
-    payload: bytes = b""
-    status: int = 200
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        self.send_response(self.status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(self.payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def mock_server():
-    server = HTTPServer(("127.0.0.1", 0), _MockHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    server.shutdown()
-
-
-def _chat_body(content: str) -> bytes:
-    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
-
-
-def test_llm_schema_translation():
-    rec = record_from_llm_json(TABLE_STYLE_RESPONSE)
-    assert rec.scene_size_label == "moderate"
-    man, dog = rec.sources
-    assert man.event == "Man" and man.direction_label == "front" and man.movement == "still"
-    assert dog.direction_label == "front_right" and dog.movement == "moving"
-    assert dog.end_direction_label == "left" and dog.speed_label == "moderate"
-    assert dog.distance_label == "near" and dog.end_distance_label == "moderate"
-
-
-def test_llm_decimal_direction_becomes_degrees():
-    rec = record_from_llm_json(
-        {"sound": 1, "size": 1,
-         "objects": {"Bird": {"init_direction": 2.2, "init_dis": 2, "moving": 0}}})
-    assert rec.sources[0].direction_label is None
-    assert abs(rec.sources[0].direction_degrees - 126.0) < 1e-9
-
-
-def test_llm_success_path(mock_server):
-    _MockHandler.payload = _chat_body("Sure! " + json.dumps(TABLE_STYLE_RESPONSE))
-    _MockHandler.status = 200
-    config = LlmClientConfig(endpoint=mock_server, timeout_s=5.0)
-    rec = induce_via_llm("A man speaks in front while a dog barks from front right to left.",
-                         config)
-    assert "fallback" not in rec.flags
-    assert rec.sources[0].direction_label == "front"
-    assert rec.sources[1].end_direction_label == "left"
-
-
-def test_llm_unreachable_endpoint_falls_back():
-    config = LlmClientConfig(endpoint="http://127.0.0.1:9/nothing", timeout_s=0.5)
-    rec = induce_via_llm("A dog barks on the left.", config)
-    assert "fallback" in rec.flags
-    assert rec.sources[0].direction_label == "left"
-
-
-def test_llm_invalid_json_falls_back(mock_server):
-    _MockHandler.payload = _chat_body("{ this is not json")
-    config = LlmClientConfig(endpoint=mock_server, timeout_s=5.0)
-    rec = induce_via_llm("A dog barks on the left.", config)
-    assert "fallback" in rec.flags
-
-
-def test_llm_http_error_falls_back(mock_server):
-    _MockHandler.payload = b"oops"
-    _MockHandler.status = 500
-    rec = induce_via_llm("A dog barks on the left.",
-                         LlmClientConfig(endpoint=mock_server, timeout_s=5.0))
-    _MockHandler.status = 200
-    assert "fallback" in rec.flags
-
-
-def test_llm_image_meta_fallback_maps_positions():
-    config = LlmClientConfig(endpoint="http://127.0.0.1:9/nothing", timeout_s=0.5)
-    rec = induce_via_llm({"objects": [["Bird", [0.25, 0.4]]]}, config)
-    assert "fallback" in rec.flags
-    assert abs(rec.sources[0].direction_degrees - 135.0) < 1e-9
-
-
-def test_llm_image_meta_success_path(mock_server):
-    _MockHandler.payload = _chat_body(json.dumps({
-        "sound": 1, "size": 1,
-        "objects": {"Bird": {"init_direction": 2.2, "init_dis": 2, "moving": 1,
-                             "end_direction": 3.5, "end_dis": 1, "speed": 2}},
-    }))
-    _MockHandler.status = 200
-    rec = induce_via_llm({"objects": [["Bird", [0.35, 0.25]]]},
-                         LlmClientConfig(endpoint=mock_server, timeout_s=5.0))
-    assert "fallback" not in rec.flags
-    assert rec.scene_size_label == "outdoors"
-    bird = rec.sources[0]
-    assert abs(bird.direction_degrees - 126.0) < 1e-9
-    assert bird.movement == "moving" and bird.speed_label == "moderate"
-    assert abs(bird.end_direction_degrees - 67.5) < 1e-9
-    assert bird.end_distance_label == "far"
-
-
-def test_llm_config_validation():
-    with pytest.raises(ValueError):
-        LlmClientConfig(endpoint="not a url")
-    with pytest.raises(ValueError):
-        LlmClientConfig(endpoint="http://x", timeout_s=0.0)
-
-
-def test_prompt_template_asset_loads():
-    text = load_prompt_template("caption_attributes_v1")
-    assert "{input}" in text
-    assert "JSON" in text

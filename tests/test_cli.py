@@ -73,6 +73,14 @@ def test_unreadable_manifest_exit_two(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+def test_malformed_manifest_line_exit_two(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"id": "a", "audio": 5, "caption": "A dog barks."}\n')
+    assert main(["synthesize", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{manifest}:1: " in capsys.readouterr().err
+
+
 def test_validate_flags_tampering_exit_one(workspace, tmp_path):
     root, _, manifest = workspace
     out = tmp_path / "ds"

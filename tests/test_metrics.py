@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 
-from stereoscene.acoustics import RirKernel, render_static, stereo_rir_for
+from stereoscene.acoustics import render_static, stereo_rir_for
 from stereoscene.audio_io import AudioBuffer
 from stereoscene.metrics import (
     EMBED_DIM,
@@ -38,8 +38,7 @@ def _render(scene, src_pos, noise_seed=0, seconds=10):
     rng = np.random.default_rng(noise_seed)
     mono = AudioBuffer(rng.standard_normal(16000 * seconds) * 0.2, 16000)
     rir = stereo_rir_for(scene, np.asarray(src_pos))
-    out = render_static(mono, RirKernel(rir.samples[0:1], 16000),
-                        RirKernel(rir.samples[1:2], 16000))
+    out = render_static(mono, rir)
     return rms_normalize(out)
 
 

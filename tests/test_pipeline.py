@@ -79,6 +79,18 @@ def test_manifest_duplicate_ids_rejected(tmp_path, clip_dir):
         read_manifest(path)
 
 
+@pytest.mark.parametrize("line", [
+    '{"id": "a", "audio": 5, "caption": "A dog barks on the left."}',
+    '{"id": "a", "audio": "x.wav", "attributes": "nope"}',
+    '[1, 2]',
+], ids=["audio-int", "attributes-str", "non-object"])
+def test_malformed_manifest_line_names_path_and_line(tmp_path, line):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"id": "ok", "audio": "x.wav", "caption": "A dog barks."}\n' + line + "\n")
+    with pytest.raises(ManifestError, match=rf"{path}:2: "):
+        read_manifest(path)
+
+
 def test_manifest_bad_subset_rejected():
     with pytest.raises(ManifestError):
         ManifestEntry(clip_id="x", audio_paths=("a.wav",), subset="XX", caption="hi")
@@ -376,7 +388,7 @@ def test_evaluate_with_external_embeddings(synthesized, tmp_path):
 
 
 def test_evaluate_left_vs_right_sets(tmp_path):
-    from stereoscene.acoustics import RirKernel, render_static, stereo_rir_for
+    from stereoscene.acoustics import render_static, stereo_rir_for
     from conftest import open_field_scene, polar_pos, rms_normalize, still_source
 
     left_dir = tmp_path / "left"
@@ -388,8 +400,7 @@ def test_evaluate_left_vs_right_sets(tmp_path):
         for theta, out_dir in ((180.0, left_dir), (0.0, right_dir)):
             scene = open_field_scene([still_source(theta, 25.0)])
             rir = stereo_rir_for(scene, np.asarray(polar_pos(theta, 25.0)))
-            out = render_static(mono, RirKernel(rir.samples[0:1], 16000),
-                                RirKernel(rir.samples[1:2], 16000))
+            out = render_static(mono, rir)
             write_wav(out_dir / f"clip{i}.wav", rms_normalize(out))
         itd = 2 * 0.085 / 343.0
     report = evaluate(left_dir, right_dir)
@@ -462,19 +473,6 @@ def test_m_set_upper_cardinality_four_sources(tmp_path, clip_dir):
                         subset="M", attributes=AttributeRecord.from_dict(five))
     with pytest.raises(ManifestError):
         synthesize_entry(bad, tmp_path, global_seed=8)
-
-
-def test_gcc_mae_explicit_pairing(synthesized):
-    from stereoscene.metrics import gcc_mae, tdoa_series
-
-    out, index = synthesized
-    ids = [r["id"] for r in index.rows[:2]]
-    series = {i: tdoa_series(read_wav(out / f"{i}.wav")) for i in ids}
-    renamed = {f"gen-{i}": s for i, s in series.items()}
-    pairing = [(f"gen-{i}", i) for i in ids]
-    score, rows, skipped = gcc_mae(renamed, series, pairing=pairing)
-    assert score == 0.0 and not skipped
-    assert [r.clip_id for r in rows] == [f"gen-{i}" for i in ids]
 
 
 def test_unspecified_attributes_resolved_consistently(tmp_path, clip_dir):

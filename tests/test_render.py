@@ -3,7 +3,7 @@ import pytest
 from scipy.signal import oaconvolve
 
 from stereoscene import render
-from stereoscene.acoustics import RirKernel, render_static, stereo_rir_for
+from stereoscene.acoustics import render_static, stereo_rir_for
 from stereoscene.audio_io import AudioBuffer
 from stereoscene.render import (
     MOVING_HOP_S,
@@ -137,8 +137,7 @@ def test_degenerate_motion_equals_static(noise_clip):
     _, scene, src = _degenerate_motion(noise_clip)
     moved = render_moving(noise_clip, scene, src)
     rir = stereo_rir_for(scene, np.asarray(src.start_pos))
-    static = render_static(noise_clip, RirKernel(rir.samples[0:1], 16000),
-                           RirKernel(rir.samples[1:2], 16000))
+    static = render_static(noise_clip, rir)
     residual = np.abs(moved.data - static.data).max()
     assert residual < np.abs(static.data).max() * 1e-3  # well under -60 dB
 

@@ -30,7 +30,9 @@ ALPHA_MAX = 1.0 - 1e-6
 # array from producing unbounded 1/(4 pi d) spikes
 MIN_SPREAD_DIST = 0.2
 
-_IMAGE_CHUNK = 200_000
+# impulses per gather and bincount in _place_impulses: keeps the per-block
+# (block, FRAC_DELAY_TAPS) kernel and index arrays at 2.6 MiB each
+_PLACE_BLOCK = 4096
 
 
 class AcousticsError(ValueError):
@@ -160,16 +162,31 @@ def _frac_delay_taps(delays_samples: np.ndarray):
     return base, _frac_table()[frac_idx]
 
 
-def _place_impulses(h: np.ndarray, delays: np.ndarray, amps: np.ndarray) -> None:
-    """Accumulate amplitude-scaled fractional impulses into ``h`` in place."""
-    base, kernel = _frac_delay_taps(delays)
-    kernel *= amps[:, None]
-    idx = base[:, None] + np.arange(FRAC_DELAY_TAPS)[None, :]
-    if base.min() >= 0 and base.max() + FRAC_DELAY_TAPS <= h.shape[0]:
-        h += np.bincount(idx.ravel(), weights=kernel.ravel(), minlength=h.shape[0])
-    else:
-        valid = (idx >= 0) & (idx < h.shape[0])
-        h += np.bincount(idx[valid], weights=kernel[valid], minlength=h.shape[0])
+def _place_impulses(n_rows: int, n: int, rows: np.ndarray, delays: np.ndarray,
+                    amps: np.ndarray) -> np.ndarray:
+    """Sum amplitude-scaled fractional impulses into an (n_rows, n) response.
+
+    Impulse i lands in row ``rows[i]`` at ``delays[i]`` samples; taps outside
+    [0, n) are dropped. The rows sit in one flat buffer with FRAC_DELAY_TAPS of
+    padding on both sides, so a block of _PLACE_BLOCK impulses scatters with
+    one bincount whatever its rows; blocks go in input order, so sums are
+    reproducible.
+    """
+    pad = FRAC_DELAY_TAPS
+    width = n + 2 * pad
+    flat = np.zeros(n_rows * width)
+    taps = np.arange(FRAC_DELAY_TAPS)
+    for start in range(0, delays.size, _PLACE_BLOCK):
+        stop = start + _PLACE_BLOCK
+        base, kernel = _frac_delay_taps(delays[start:stop])
+        kernel *= amps[start:stop, None]
+        offset = rows[start:stop] * width + pad + base
+        reach = (base > -FRAC_DELAY_TAPS) & (base < n)  # some tap lands in [0, n)
+        if not reach.all():
+            offset, kernel = offset[reach], kernel[reach]
+        idx = offset[:, None] + taps
+        flat += np.bincount(idx.ravel(), weights=kernel.ravel(), minlength=flat.size)
+    return flat.reshape(n_rows, width)[:, pad:pad + n].copy()
 
 
 def direct_path_rir(source_pos, mic_pos, fs: int = 16000,
@@ -185,19 +202,18 @@ def direct_path_rir(source_pos, mic_pos, fs: int = 16000,
         n = int(np.ceil(delays.max())) + FRAC_DELAY_TAPS
     else:
         n = int(round(length_s * fs))
-    out = np.zeros((mics.shape[0], n))
     amps = 1.0 / (4.0 * np.pi * np.maximum(dists, MIN_SPREAD_DIST))
-    for m in range(mics.shape[0]):
-        _place_impulses(out[m], delays[m:m + 1], amps[m:m + 1])
-    return RirKernel(samples=out, sample_rate=fs)
+    rows = np.arange(mics.shape[0])
+    return RirKernel(samples=_place_impulses(rows.size, n, rows, delays, amps), sample_rate=fs)
 
 
 @lru_cache(maxsize=4)
 def _image_lattice(orders: tuple, coefficients: tuple):
-    """Image grid and per-parity reflection amplitudes for a room shape.
+    """Per-axis image indices and the reflection amplitude of every image.
 
-    Both depend only on the reflection orders and wall absorption, not on
-    source or microphone positions, so moving-source renders reuse them.
+    Images are ordered by wall parity (px, py, pz), then by the lattice index
+    (nx, ny, nz), each lexicographically. Neither depends on source or
+    microphone positions, so moving-source renders reuse them.
     """
     beta = np.sqrt(1.0 - np.asarray(coefficients, dtype=np.float64))
     ax = [np.arange(-orders[k], orders[k] + 1, dtype=np.int64) for k in range(3)]
@@ -212,7 +228,7 @@ def _image_lattice(orders: tuple, coefficients: tuple):
             * beta[2] ** refl_lo[:, 1] * beta[3] ** refl_hi[:, 1]
             * beta[4] ** refl_lo[:, 2] * beta[5] ** refl_hi[:, 2]
         )
-    return grid, parities, refl_amps
+    return ax, np.concatenate(refl_amps)
 
 
 def compute_rir(room_dims, absorption: AbsorptionSet, source_pos, mic_pos,
@@ -241,26 +257,28 @@ def compute_rir(room_dims, absorption: AbsorptionSet, source_pos, mic_pos,
 
     max_dist = (n_samples + FRAC_DELAY_TAPS) / fs * SPEED_OF_SOUND
     orders = np.ceil(max_dist / (2.0 * dims)).astype(np.int64)
+    axes, refl_amps = _image_lattice(tuple(orders.tolist()), tuple(absorption.coefficients))
 
-    h = np.zeros((mics.shape[0], n_samples))
-    grid, parities, refl_amps = _image_lattice(
-        tuple(orders.tolist()), tuple(absorption.coefficients))
+    # an image's coordinate on axis k is (1 - 2 p) src_k + 2 n L_k; square its
+    # offset from each mic per axis, shape (M, parity, n), then sum the three
+    # axes in lattice order, shape (M, images)
+    m = mics.shape[0]
+    sq = []
+    for k in range(3):
+        coord = np.array([[1.0], [-1.0]]) * src[k] + 2.0 * axes[k] * dims[k]
+        diff = coord[None] - mics[:, k, None, None]
+        sq.append(diff * diff)
+    nx, ny, nz = (a.size for a in axes)
+    dist = (sq[0].reshape(m, 2, 1, 1, nx, 1, 1) + sq[1].reshape(m, 1, 2, 1, 1, ny, 1)
+            + sq[2].reshape(m, 1, 1, 2, 1, 1, nz)).reshape(m, -1)
+    np.sqrt(dist, out=dist)
 
-    # iterate the n-grid in fixed lexicographic chunks for reproducible sums
-    for start in range(0, grid.shape[0], _IMAGE_CHUNK):
-        n_chunk = grid[start:start + _IMAGE_CHUNK]
-        for pi, p in enumerate(parities):
-            pos = (1 - 2 * p)[None, :] * src[None, :] + 2.0 * n_chunk * dims[None, :]
-            amp_refl = refl_amps[pi][start:start + _IMAGE_CHUNK]
-            for m in range(mics.shape[0]):
-                dist = np.linalg.norm(pos - mics[m][None, :], axis=1)
-                keep = (dist <= max_dist) & (dist > 0) & (amp_refl > 0)
-                if not np.any(keep):
-                    continue
-                d = dist[keep]
-                amps = amp_refl[keep] / (4.0 * np.pi * np.maximum(d, MIN_SPREAD_DIST))
-                _place_impulses(h[m], d / SPEED_OF_SOUND * fs, amps)
-
+    keep = (dist <= max_dist) & (dist > 0) & (refl_amps > 0)
+    rows = np.repeat(np.arange(m), np.count_nonzero(keep, axis=1))
+    d = dist[keep]
+    amps = np.broadcast_to(refl_amps, dist.shape)[keep] / (
+        4.0 * np.pi * np.maximum(d, MIN_SPREAD_DIST))
+    h = _place_impulses(m, n_samples, rows, d / SPEED_OF_SOUND * fs, amps)
     return RirKernel(samples=h, sample_rate=fs)
 
 

@@ -63,13 +63,19 @@ class ManifestEntry:
             paths = [paths]
         if paths and not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
             raise ManifestError("audio must be a path or a list of paths")
+        caption = d.get("caption")
+        if caption is not None and not isinstance(caption, str):
+            raise ManifestError(f"caption must be a string, got {type(caption).__name__}")
+        seed = d.get("seed")
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise ManifestError(f"seed must be an integer, got {seed!r}")
         return ManifestEntry(
             clip_id=str(d["id"]),
             audio_paths=tuple(paths or ()),
             subset=d.get("subset", "SS"),
-            caption=d.get("caption"),
+            caption=caption,
             attributes=AttributeRecord.from_dict(attrs) if attrs else None,
-            seed=d.get("seed"),
+            seed=seed,
         )
 
 

@@ -154,8 +154,11 @@ class AttributeRecord:
 
     @staticmethod
     def from_dict(d: dict) -> "AttributeRecord":
+        raw = d.get("sources", [])
+        if not (isinstance(raw, list) and all(isinstance(s, dict) for s in raw)):
+            raise ValidationError("sources must be a list of objects")
         sources = []
-        for s in d.get("sources", []):
+        for s in raw:
             sources.append(
                 SourceAttributes(
                     event=s.get("event", ""),

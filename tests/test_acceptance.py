@@ -320,6 +320,7 @@ def test_metric_self_consistency():
 # ---------------------------------------------------------------------------
 # 6. Discriminative sanity (miniature evaluation-table analogue)
 # ---------------------------------------------------------------------------
+@pytest.mark.slow
 def test_discriminative_sanity():
     t0 = time.time()
     rng = SeededRng(9091)

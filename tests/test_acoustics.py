@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from stereoscene.acoustics import (
+    FRAC_DELAY_TAPS,
     MIN_SPREAD_DIST,
+    SPEED_OF_SOUND,
     AbsorptionSet,
     AcousticsError,
     RirKernel,
@@ -16,6 +19,7 @@ from stereoscene.acoustics import (
     render_static,
     rt60_to_absorption,
     stereo_rir_for,
+    _frac_delay_taps,
 )
 from stereoscene.audio_io import AudioBuffer
 from stereoscene.rng import SeededRng
@@ -139,6 +143,101 @@ def test_direct_delay_matches_distance_1000_geometries():
         est = _upsampled_peak(rir.samples[0])
         max_err_samples = max(max_err_samples, abs(est - dist / 343.0 * fs))
     assert max_err_samples < 1.0 / 32.0
+
+
+def _reference_place(h: np.ndarray, delays: np.ndarray, amps: np.ndarray) -> None:
+    """One row's impulses, scattered with one bincount and taps outside h dropped."""
+    base, kernel = _frac_delay_taps(delays)
+    kernel *= amps[:, None]
+    idx = base[:, None] + np.arange(FRAC_DELAY_TAPS)[None, :]
+    valid = (idx >= 0) & (idx < h.shape[0])
+    h += np.bincount(idx[valid], weights=kernel[valid], minlength=h.shape[0])
+
+
+def test_direct_path_matches_per_mic_placement():
+    # reference: one placement per mic into its own row
+    pair = np.array([[2.0, 2.0, 1.5], [2.0, 2.17, 1.5]])
+    cases = [([5.0, 8.43, 5.0], [5.0, 5.0, 5.0], None),
+             ([7.0, 3.0, 1.5], pair, None),
+             ([7.0, 3.0, 1.5], pair, 0.1),
+             ([7.0, 3.0, 1.5], pair, 0.0148),  # length cuts into the impulses
+             ([7.0, 3.0, 1.5], pair, 0.005),  # length ends before the first tap
+             ([2.0, 2.1, 1.5], pair, 0.002)]  # taps before index 0 and past the end
+    for src, mic, length_s in cases:
+        mics = np.atleast_2d(mic)
+        dists = np.linalg.norm(mics - np.asarray(src), axis=1)
+        delays = dists / SPEED_OF_SOUND * 16000
+        n = (int(np.ceil(delays.max())) + FRAC_DELAY_TAPS if length_s is None
+             else int(round(length_s * 16000)))
+        expected = np.zeros((mics.shape[0], n))
+        amps = 1.0 / (4.0 * np.pi * np.maximum(dists, MIN_SPREAD_DIST))
+        for m in range(mics.shape[0]):
+            _reference_place(expected[m], delays[m:m + 1], amps[m:m + 1])
+        got = direct_path_rir(src, mic, fs=16000, length_s=length_s).samples
+        assert np.array_equal(got, expected)
+
+
+def _reference_compute_rir(dims, absorption, src, mic_pos, fs=16000, length_s=None):
+    """compute_rir as a chunk, parity and mic loop; returns (rir, images kept)."""
+    dims = np.asarray(dims, dtype=np.float64)
+    src = np.asarray(src, dtype=np.float64)
+    mics = np.atleast_2d(np.asarray(mic_pos, dtype=np.float64))
+    if length_s is None:
+        direct = float(np.linalg.norm(mics - src[None, :], axis=1).min())
+        length_s = direct / SPEED_OF_SOUND + 1.3 * eyring_rt60(absorption, dims)
+    n_samples = int(round(length_s * fs)) + FRAC_DELAY_TAPS
+    max_dist = (n_samples + FRAC_DELAY_TAPS) / fs * SPEED_OF_SOUND
+    orders = np.ceil(max_dist / (2.0 * dims)).astype(np.int64)
+    beta = absorption.reflection_factors
+    ax = [np.arange(-orders[k], orders[k] + 1, dtype=np.int64) for k in range(3)]
+    grid = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    h = np.zeros((mics.shape[0], n_samples))
+    kept = 0
+    chunk = 200_000
+    for start in range(0, grid.shape[0], chunk):
+        n_chunk = grid[start:start + chunk]
+        for p in itertools.product((0, 1), repeat=3):
+            p = np.array(p)
+            pos = (1 - 2 * p)[None, :] * src[None, :] + 2.0 * n_chunk * dims[None, :]
+            lo, hi = np.abs(n_chunk - p[None, :]), np.abs(n_chunk)
+            amp_refl = (beta[0] ** lo[:, 0] * beta[1] ** hi[:, 0]
+                        * beta[2] ** lo[:, 1] * beta[3] ** hi[:, 1]
+                        * beta[4] ** lo[:, 2] * beta[5] ** hi[:, 2])
+            for m in range(mics.shape[0]):
+                dist = np.linalg.norm(pos - mics[m][None, :], axis=1)
+                keep = (dist <= max_dist) & (dist > 0) & (amp_refl > 0)
+                if not np.any(keep):
+                    continue
+                d = dist[keep]
+                kept += d.size
+                amps = amp_refl[keep] / (4.0 * np.pi * np.maximum(d, MIN_SPREAD_DIST))
+                _reference_place(h[m], d / SPEED_OF_SOUND * fs, amps)
+    return h, kept
+
+
+def test_compute_rir_matches_per_parity_reference():
+    pair = [[1.0, 1.0 - 0.085, 1.2], [1.0, 1.0 + 0.085, 1.2]]
+    cases = [  # dims, rt60, source, mics, length_s, minimum images kept
+        ((15.0, 14.0, 11.0), 0.45, [4.0, 9.0, 3.0], [[7.5, 7.0 - 0.085, 1.6],
+                                                       [7.5, 7.0 + 0.085, 1.6]], None, 10_000),
+        ((27.0, 25.0, 22.0), 0.45, [20.0, 6.0, 5.0], [13.0, 12.0, 1.6], None, 1),
+        ((56.0, 52.0, 45.0), 0.47, [30.0, 40.0, 4.0], [[28.0, 26.0 - 0.085, 1.6],
+                                                        [28.0, 26.0 + 0.085, 1.6]], None, 1),
+        # 0.22 m from the wall x = 0 and 0.14 m from the left mic: taps before index 0
+        ((6.0, 5.0, 3.0), 0.35, [0.22, 0.95, 1.25], pair, None, 1),
+        ((6.0, 5.0, 3.0), 0.35, [0.22, 0.95, 1.25], pair, 0.02, 1),
+        ((9.0, 8.0, 4.0), 0.5, [6.0, 5.0, 2.0], pair, 0.015, 1),
+    ]
+    for dims, rt60, src, mic, length_s, min_images in cases:
+        absorption = rt60_to_absorption(rt60, dims)
+        expected, kept = _reference_compute_rir(dims, absorption, src, mic, length_s=length_s)
+        assert kept >= min_images
+        got = compute_rir(dims, absorption, src, mic, fs=16000, length_s=length_s).samples
+        assert got.shape == expected.shape
+        peak = np.abs(expected).max()
+        assert np.abs(got - expected).max() <= 1e-14 * peak
+        for ch in range(expected.shape[0]):
+            assert np.argmax(np.abs(got[ch])) == np.argmax(np.abs(expected[ch]))
 
 
 def test_outdoor_mode_equals_full_absorption_ism():

@@ -83,7 +83,12 @@ def test_manifest_duplicate_ids_rejected(tmp_path, clip_dir):
     '{"id": "a", "audio": 5, "caption": "A dog barks on the left."}',
     '{"id": "a", "audio": "x.wav", "attributes": "nope"}',
     '[1, 2]',
-], ids=["audio-int", "attributes-str", "non-object"])
+    '{"id": "a", "audio": "x.wav", "attributes": {"scene_size": "small", "sources": [1]}}',
+    '{"id": "a", "audio": "x.wav", "attributes": {"scene_size": "small", "sources": "ab"}}',
+    '{"id": "a", "audio": "x.wav", "caption": "A dog barks.", "seed": "abc"}',
+    '{"id": "a", "audio": "x.wav", "caption": 5}',
+], ids=["audio-int", "attributes-str", "non-object", "sources-int-item", "sources-str",
+        "seed-str", "caption-int"])
 def test_malformed_manifest_line_names_path_and_line(tmp_path, line):
     path = tmp_path / "m.jsonl"
     path.write_text('{"id": "ok", "audio": "x.wav", "caption": "A dog barks."}\n' + line + "\n")

@@ -261,6 +261,7 @@ def test_adding_source_keeps_earlier_draws():
     assert one.sources[0] == two.sources[0]
 
 
+@pytest.mark.slow
 def test_scene_containment_bulk():
     # spec invariant: geometry stays strictly inside for 1e5 random scenes;
     # SceneSpec construction raises on any violation

@@ -162,49 +162,103 @@ def _frac_delay_taps(delays_samples: np.ndarray):
     return base, _frac_table()[frac_idx]
 
 
-def _place_impulses(n_rows: int, n: int, rows: np.ndarray, delays: np.ndarray,
-                    amps: np.ndarray) -> np.ndarray:
-    """Sum amplitude-scaled fractional impulses into an (n_rows, n) response.
+def _blocks(group_sizes):
+    """(start, stop) impulse ranges that _place_impulses scatters at once.
 
-    Impulse i lands in row ``rows[i]`` at ``delays[i]`` samples; taps outside
-    [0, n) are dropped. The rows sit in one flat buffer with FRAC_DELAY_TAPS of
-    padding on both sides, so a block of _PLACE_BLOCK impulses scatters with
-    one bincount whatever its rows; blocks go in input order, so sums are
-    reproducible.
+    Each group is cut at its own multiples of _PLACE_BLOCK, and the pieces are
+    packed in order into blocks of at most _PLACE_BLOCK impulses. A group then
+    splits exactly as it would alone, and no block holds two of its pieces.
+    """
+    bounds, start, stop = [], 0, 0
+    for size in group_sizes:
+        for first in range(0, int(size), _PLACE_BLOCK):
+            piece = min(_PLACE_BLOCK, int(size) - first)
+            if stop + piece - start > _PLACE_BLOCK:
+                bounds.append((start, stop))
+                start = stop
+            stop += piece
+    if stop > start:
+        bounds.append((start, stop))
+    return bounds
+
+
+def _place_impulses(lengths: np.ndarray, m: int, rows: np.ndarray, delays: np.ndarray,
+                    amps: np.ndarray, group_sizes) -> list[np.ndarray]:
+    """Sum amplitude-scaled fractional impulses into responses of ``m`` rows.
+
+    Response g has ``lengths[g]`` samples per row and takes rows g*m to
+    g*m + m - 1. Impulse i lands in row ``rows[i]`` (non-decreasing) at
+    ``delays[i]`` samples; taps outside the row are dropped. ``group_sizes``
+    counts each response's impulses (see _blocks). The rows sit in one flat
+    buffer with FRAC_DELAY_TAPS of padding on both sides, so a block scatters
+    with one bincount over the span of the rows it touches. Every sample sums
+    the impulses of its own response in input order and block by block, so a
+    response is bit-identical whatever else is in the batch. Returns one
+    (m, lengths[g]) array per response.
     """
     pad = FRAC_DELAY_TAPS
-    width = n + 2 * pad
-    flat = np.zeros(n_rows * width)
+    row_len = np.repeat(lengths, m)
+    row_start = np.concatenate([[0], np.cumsum(row_len + 2 * pad)])
+    flat = np.zeros(int(row_start[-1]))
     taps = np.arange(FRAC_DELAY_TAPS)
-    for start in range(0, delays.size, _PLACE_BLOCK):
-        stop = start + _PLACE_BLOCK
+    for start, stop in _blocks(group_sizes):
         base, kernel = _frac_delay_taps(delays[start:stop])
         kernel *= amps[start:stop, None]
-        offset = rows[start:stop] * width + pad + base
-        reach = (base > -FRAC_DELAY_TAPS) & (base < n)  # some tap lands in [0, n)
+        block_rows = rows[start:stop]
+        lo, hi = row_start[block_rows[0]], row_start[block_rows[-1] + 1]
+        offset = row_start[block_rows] - lo + pad + base
+        reach = (base > -FRAC_DELAY_TAPS) & (base < row_len[block_rows])  # a tap lands in the row
         if not reach.all():
             offset, kernel = offset[reach], kernel[reach]
         idx = offset[:, None] + taps
-        flat += np.bincount(idx.ravel(), weights=kernel.ravel(), minlength=flat.size)
-    return flat.reshape(n_rows, width)[:, pad:pad + n].copy()
+        flat[lo:hi] += np.bincount(idx.ravel(), weights=kernel.ravel(), minlength=hi - lo)
+    return [flat[row_start[g * m]:row_start[g * m + m]].reshape(m, -1)[:, pad:pad + n].copy()
+            for g, n in enumerate(lengths.tolist())]
+
+
+def _mic_distances(sources: np.ndarray, mics: np.ndarray) -> np.ndarray:
+    """Source-to-microphone distances, shape (P, M); raises on a coincidence."""
+    dists = np.linalg.norm(mics[None, :, :] - sources[:, None, :], axis=2)
+    if np.any(dists <= 0):
+        raise AcousticsError("source and microphone positions coincide")
+    return dists
+
+
+def _default_lengths(dists: np.ndarray, fs: int, decay: float | None) -> np.ndarray:
+    """Response samples per source position from its (P, M) mic distances.
+
+    Anechoic (``decay`` None): up to the last direct impulse. Otherwise the
+    nearest direct delay plus 1.3x the Eyring decay time.
+    """
+    if decay is None:
+        last = np.ceil((dists / SPEED_OF_SOUND * fs).max(axis=1))
+        return last.astype(np.int64) + FRAC_DELAY_TAPS
+    length_s = dists.min(axis=1) / SPEED_OF_SOUND + 1.3 * decay
+    return np.round(length_s * fs).astype(np.int64) + FRAC_DELAY_TAPS
 
 
 def direct_path_rir(source_pos, mic_pos, fs: int = 16000,
                     length_s: float | None = None) -> RirKernel:
     """Anechoic response: a single 1/(4 pi d) impulse at d / c per mic."""
     src = np.asarray(source_pos, dtype=np.float64)
+    return direct_path_rirs(src[None, :], mic_pos, fs, length_s)[0]
+
+
+def direct_path_rirs(sources, mic_pos, fs: int = 16000,
+                     length_s: float | None = None) -> list[RirKernel]:
+    """direct_path_rir at each source position of ``sources`` (P, 3), in one pass."""
+    srcs = np.atleast_2d(np.asarray(sources, dtype=np.float64))
     mics = np.atleast_2d(np.asarray(mic_pos, dtype=np.float64))
-    dists = np.linalg.norm(mics - src[None, :], axis=1)
-    if np.any(dists <= 0):
-        raise AcousticsError("source and microphone positions coincide")
-    delays = dists / SPEED_OF_SOUND * fs
+    dists = _mic_distances(srcs, mics)
     if length_s is None:
-        n = int(np.ceil(delays.max())) + FRAC_DELAY_TAPS
+        n_samples = _default_lengths(dists, fs, None)
     else:
-        n = int(round(length_s * fs))
+        n_samples = np.full(srcs.shape[0], int(round(length_s * fs)))
     amps = 1.0 / (4.0 * np.pi * np.maximum(dists, MIN_SPREAD_DIST))
-    rows = np.arange(mics.shape[0])
-    return RirKernel(samples=_place_impulses(rows.size, n, rows, delays, amps), sample_rate=fs)
+    p, m = dists.shape
+    placed = _place_impulses(n_samples, m, np.arange(p * m), (dists / SPEED_OF_SOUND * fs).ravel(),
+                             amps.ravel(), np.full(p, m))
+    return [RirKernel(samples=h, sample_rate=fs) for h in placed]
 
 
 @lru_cache(maxsize=4)
@@ -241,45 +295,59 @@ def compute_rir(room_dims, absorption: AbsorptionSet, source_pos, mic_pos,
     that buffer is included (image energy beyond it is below -60 dB by the
     Eyring estimate).
     """
-    dims = np.asarray(room_dims, dtype=np.float64)
     src = np.asarray(source_pos, dtype=np.float64)
-    mics = np.atleast_2d(np.asarray(mic_pos, dtype=np.float64))
-    if np.any(src <= 0) or np.any(src >= dims):
-        raise AcousticsError("source must be strictly inside the room")
-    dists = np.linalg.norm(mics - src[None, :], axis=1)
-    if np.any(dists <= 0):
-        raise AcousticsError("source and microphone positions coincide")
+    return compute_rirs(room_dims, absorption, src[None, :], mic_pos, fs, length_s)[0]
 
+
+def compute_rirs(room_dims, absorption: AbsorptionSet, sources, mic_pos,
+                 fs: int = 16000, length_s: float | None = None) -> list[RirKernel]:
+    """compute_rir at each source position of ``sources`` (P, 3), in one pass.
+
+    Each response is bit-identical to the one built for its position alone:
+    its own length and image reach, its kept images in the same order, summed
+    in the same blocks. The lattice is built at the batch's largest orders;
+    every image outside a position's own lattice lies beyond its reach, and
+    the lattice order of the rest is unchanged.
+    """
+    dims = np.asarray(room_dims, dtype=np.float64)
+    srcs = np.atleast_2d(np.asarray(sources, dtype=np.float64))
+    mics = np.atleast_2d(np.asarray(mic_pos, dtype=np.float64))
+    if np.any(srcs <= 0) or np.any(srcs >= dims):
+        raise AcousticsError("source must be strictly inside the room")
+    dists = _mic_distances(srcs, mics)
     if length_s is None:
-        decay = eyring_rt60(absorption, dims)
-        length_s = float(dists.min()) / SPEED_OF_SOUND + 1.3 * decay
-    n_samples = int(round(length_s * fs)) + FRAC_DELAY_TAPS
+        n_samples = _default_lengths(dists, fs, eyring_rt60(absorption, dims))
+    else:
+        n_samples = np.full(srcs.shape[0], int(round(length_s * fs)) + FRAC_DELAY_TAPS)
 
     max_dist = (n_samples + FRAC_DELAY_TAPS) / fs * SPEED_OF_SOUND
-    orders = np.ceil(max_dist / (2.0 * dims)).astype(np.int64)
+    orders = np.ceil(max_dist[:, None] / (2.0 * dims)).astype(np.int64).max(axis=0)
     axes, refl_amps = _image_lattice(tuple(orders.tolist()), tuple(absorption.coefficients))
 
     # an image's coordinate on axis k is (1 - 2 p) src_k + 2 n L_k; square its
-    # offset from each mic per axis, shape (M, parity, n), then sum the three
-    # axes in lattice order, shape (M, images)
-    m = mics.shape[0]
+    # offset from each mic per axis, shape (P, M, parity, n), then sum the
+    # three axes in lattice order, shape (P, M, images)
+    p, m = srcs.shape[0], mics.shape[0]
     sq = []
     for k in range(3):
-        coord = np.array([[1.0], [-1.0]]) * src[k] + 2.0 * axes[k] * dims[k]
-        diff = coord[None] - mics[:, k, None, None]
+        coord = np.array([[1.0], [-1.0]]) * srcs[:, k, None, None] + 2.0 * axes[k] * dims[k]
+        diff = coord[:, None] - mics[None, :, k, None, None]
         sq.append(diff * diff)
     nx, ny, nz = (a.size for a in axes)
-    dist = (sq[0].reshape(m, 2, 1, 1, nx, 1, 1) + sq[1].reshape(m, 1, 2, 1, 1, ny, 1)
-            + sq[2].reshape(m, 1, 1, 2, 1, 1, nz)).reshape(m, -1)
+    dist = (sq[0].reshape(p, m, 2, 1, 1, nx, 1, 1) + sq[1].reshape(p, m, 1, 2, 1, 1, ny, 1)
+            + sq[2].reshape(p, m, 1, 1, 2, 1, 1, nz)).reshape(p, m, -1)
     np.sqrt(dist, out=dist)
 
-    keep = (dist <= max_dist) & (dist > 0) & (refl_amps > 0)
-    rows = np.repeat(np.arange(m), np.count_nonzero(keep, axis=1))
+    keep = (dist <= max_dist[:, None, None]) & (dist > 0) & (refl_amps > 0)
+    counts = np.count_nonzero(keep, axis=2)
     d = dist[keep]
-    amps = np.broadcast_to(refl_amps, dist.shape)[keep] / (
-        4.0 * np.pi * np.maximum(d, MIN_SPREAD_DIST))
-    h = _place_impulses(m, n_samples, rows, d / SPEED_OF_SOUND * fs, amps)
-    return RirKernel(samples=h, sample_rate=fs)
+    amps = np.broadcast_to(refl_amps, dist.shape)[keep]
+    del dist, keep  # the lattice-sized arrays go before the scatter
+    amps /= 4.0 * np.pi * np.maximum(d, MIN_SPREAD_DIST)
+    rows = np.repeat(np.arange(p * m), counts.ravel())
+    placed = _place_impulses(n_samples, m, rows, d / SPEED_OF_SOUND * fs, amps,
+                             counts.sum(axis=1))
+    return [RirKernel(samples=h, sample_rate=fs) for h in placed]
 
 
 def render_static(mono: AudioBuffer, rir: RirKernel) -> AudioBuffer:
@@ -297,13 +365,33 @@ def render_static(mono: AudioBuffer, rir: RirKernel) -> AudioBuffer:
     return AudioBuffer(out, mono.sample_rate)
 
 
+def _stereo_mics(scene) -> np.ndarray:
+    return np.stack([scene.mic_array.left_pos, scene.mic_array.right_pos])
+
+
 def stereo_rir_for(scene, source_pos) -> RirKernel:
     """Both-ear RIR for a scene's mic array at one source position."""
-    mics = np.stack([scene.mic_array.left_pos, scene.mic_array.right_pos])
+    return stereo_rirs_for(scene, np.asarray(source_pos)[None, :])[0]
+
+
+def stereo_rirs_for(scene, positions) -> list[RirKernel]:
+    """stereo_rir_for at each of ``positions`` (P, 3), bit for bit, in one batch."""
+    mics = _stereo_mics(scene)
     if scene.anechoic:
-        return direct_path_rir(source_pos, mics, scene.sample_rate)
+        return direct_path_rirs(positions, mics, scene.sample_rate)
     absorption = rt60_to_absorption(scene.rt60, scene.room_dims)
-    return compute_rir(scene.room_dims, absorption, source_pos, mics, fs=scene.sample_rate)
+    return compute_rirs(scene.room_dims, absorption, positions, mics, fs=scene.sample_rate)
+
+
+def stereo_rir_lengths(scene, positions) -> np.ndarray:
+    """Samples in the stereo_rir_for response at each of ``positions`` (P, 3),
+    without building it."""
+    dists = _mic_distances(np.atleast_2d(np.asarray(positions, dtype=np.float64)),
+                           _stereo_mics(scene))
+    decay = None
+    if not scene.anechoic:
+        decay = eyring_rt60(rt60_to_absorption(scene.rt60, scene.room_dims), scene.room_dims)
+    return _default_lengths(dists, scene.sample_rate, decay)
 
 
 def schroeder_decay_db(rir: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from . import captions as cap
-from . import guidance, metrics
+from . import guidance, metrics, render
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .render import crop_pad, mix_scene, render_moving
 from .rng import SeededRng, entry_seed
@@ -243,6 +243,11 @@ def _entry_task(args):
         return entry.clip_id, None, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
 
 
+def _render_serially():
+    """Worker-process initializer: the processes already fill the CPUs."""
+    render.RENDER_THREADS = 1
+
+
 def synthesize(manifest: list[ManifestEntry], out_dir, global_seed: int = 0,
                workers: int = 1, sample_rate: int = 16000, duration: float = 10.0,
                pcm16: bool = False, subset_filter: str | None = None) -> DatasetIndex:
@@ -259,7 +264,7 @@ def synthesize(manifest: list[ManifestEntry], out_dir, global_seed: int = 0,
     tasks = [(e, out_dir, global_seed, sample_rate, duration, pcm16) for e in manifest]
     results: dict[str, tuple] = {}
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_render_serially) as pool:
             for clip_id, row, err in pool.map(_entry_task, tasks):
                 results[clip_id] = (row, err)
     else:

@@ -3,13 +3,18 @@ moving sources via grain-wise time-varying RIRs, and multi-source mixing."""
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import oaconvolve
 
-from .acoustics import AcousticsError, RirKernel, render_static, stereo_rir_for
+from .acoustics import (AcousticsError, render_static, stereo_rir_for, stereo_rir_lengths,
+                        stereo_rirs_for)
 from .audio_io import AudioBuffer
 from .rng import SeededRng
 from .scene import SceneSpec, SourceSpec
@@ -20,7 +25,12 @@ ACTIVITY_THRESHOLD_DBFS = -40.0
 MIN_SEGMENT_S = 1.0
 TARGET_CLIP_S = 10.0
 MOVING_HOP_S = 0.01
-_GRAIN_BATCH = 32  # single-grain runs convolved per stacked transform
+_GRAIN_BATCH = 32  # single-grain runs sharing one transform size
+_JOB_GRAINS = 8  # single-grain runs per job: one batched RIR build, one stacked FFT
+# threads rendering one moving source, the calling thread included; worker
+# processes of a multi-process synthesize set it to 1
+RENDER_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
 MIX_CEILING_DBFS = -1.0
 
 
@@ -135,9 +145,20 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
     at its trajectory point and overlap-added. Consecutive grains at the same
     position form a run: the run's windows are summed and its input is
     convolved once. Single-grain runs are convolved in stacks of
-    ``_GRAIN_BATCH`` sharing one transform size. Each RIR is built when its
-    run is reached and dropped once convolved. Instant sources render as two
-    static halves crossfaded over one hop at the jump time.
+    ``_GRAIN_BATCH`` sharing one transform size, set by the stack's longest
+    response; response lengths follow from the positions, so it is known
+    before any response is built.
+
+    The work is cut into jobs: one multi-grain run, whose response
+    ``stereo_rir_for`` builds on the calling thread, or ``_JOB_GRAINS``
+    single-grain runs of one stack, whose responses come from one
+    ``stereo_rirs_for`` batch. In a room, jobs run on ``RENDER_THREADS``
+    threads, the calling thread included, one job per thread at a time;
+    anechoic scenes run them on the calling thread alone. The calling thread
+    adds the results in a fixed order, so the output bytes do not depend on
+    the thread count. Responses are dropped once their job is added. Instant
+    sources render as two static halves crossfaded over one hop at the jump
+    time.
     """
     if source.movement == "still":
         rir = stereo_rir_for(scene, np.asarray(source.start_pos))
@@ -158,57 +179,101 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
     x = np.asarray(mono.data, dtype=np.float64)
     n_grains = int(np.ceil(n / hop))
     windows = _grain_windows(n_grains, hop)
-    positions = [source.position_at(j * MOVING_HOP_S) for j in range(n_grains)]
-    keys = [tuple(np.round(pos, 9)) for pos in positions]
-    out = np.zeros((n, 2))
-    singles: list[tuple[int, RirKernel]] = []
-    j0 = 0
-    while j0 < n_grains:
-        j1 = j0
-        while j1 + 1 < n_grains and keys[j1 + 1] == keys[j0]:
-            j1 += 1
+    positions = source.positions(np.arange(n_grains) * MOVING_HOP_S)
+    keys = np.round(positions, 9)
+    firsts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    lasts = np.r_[firsts[1:], n_grains] - 1
+    singles = firsts[firsts == lasts]
+    taps = dict(zip(singles.tolist(), stereo_rir_lengths(scene, positions[singles]).tolist()))
+
+    # a job is made on the calling thread and returns the task the pool runs
+    def grains_task(grains, nfft):
+        return partial(_convolve_grains, x, windows, hop, grains, scene, positions[grains], nfft)
+
+    def run_task(j0, j1):
         rir = stereo_rir_for(scene, positions[j0])
-        if j1 == j0:
-            singles.append((j0, rir))
-            if len(singles) == _GRAIN_BATCH:
-                _convolve_grains(x, windows, hop, singles, out)
-                singles = []
-        else:
-            start = j0 * hop
-            # a run's summed windows: its first rise, the overlapped
-            # fall + rise of each neighbouring pair, its last fall
-            w = np.concatenate([windows[j0, :hop],
-                                (windows[j0:j1, hop:] + windows[j0 + 1:j1 + 1, :hop]).ravel(),
-                                windows[j1, hop:]])
-            seg_in = x[start:start + w.size]
-            seg_in = seg_in * w[:seg_in.size]
-            for ch in range(2):
-                seg = oaconvolve(seg_in, rir.samples[ch])
-                stop = min(start + seg.shape[0], n)
-                out[start:stop, ch] += seg[: stop - start]
-        j0 = j1 + 1
-    if singles:
-        _convolve_grains(x, windows, hop, singles, out)
+        return partial(_convolve_run, x, windows, hop, j0, j1, rir)
+
+    jobs = []
+
+    def add_stack(stack):
+        nfft = next_fast_len(2 * hop + max(taps[j] for j in stack) - 1, real=True)
+        for i in range(0, len(stack), _JOB_GRAINS):
+            jobs.append(partial(grains_task, stack[i:i + _JOB_GRAINS], nfft))
+
+    stack = []
+    for j0, j1 in zip(firsts.tolist(), lasts.tolist()):
+        if j0 < j1:
+            jobs.append(partial(run_task, j0, j1))
+            continue
+        stack.append(j0)
+        if len(stack) == _GRAIN_BATCH:
+            add_stack(stack)
+            stack = []
+    if stack:
+        add_stack(stack)
+
+    # a direct-path response takes tens of microseconds, mostly interpreter
+    # time, so a second thread would only contend for the interpreter lock
+    threads = 1 if scene.anechoic else RENDER_THREADS
+    out = np.zeros((n, 2))
+    for segments in _run_jobs(jobs, threads):
+        for start, seg in segments:
+            stop = min(start + seg.shape[1], n)
+            out[start:stop] += seg[:, :stop - start].T
     return AudioBuffer(out, fs)
 
 
-def _convolve_grains(x: np.ndarray, windows: np.ndarray, hop: int,
-                     grains: list[tuple[int, RirKernel]], out: np.ndarray) -> None:
-    """Overlap-add single windowed grains, each through its own RIR, into ``out``."""
-    n = out.shape[0]
-    taps = max(rir.length for _, rir in grains)
-    nfft = next_fast_len(2 * hop + taps - 1, real=True)
+def _run_jobs(jobs, threads: int):
+    """Yield each job's result in job order.
+
+    The calling thread makes every job and runs every ``threads``-th task
+    itself; the others go to ``threads - 1`` pool threads, one at a time
+    each. Working on the calling thread instead of leaving it to wait spares
+    one thread's malloc arena and the peak memory it holds.
+    """
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
+        for job in jobs:
+            task = job()
+            if len(pending) < threads - 1:
+                pending.append(pool.submit(task))
+                continue
+            result = task()
+            while pending:
+                yield pending.popleft().result()
+            yield result
+        while pending:
+            yield pending.popleft().result()
+
+
+def _convolve_run(x, windows, hop, j0, j1, rir):
+    """[(start, (2, L) segment)] for grains j0..j1 through one response."""
+    start = j0 * hop
+    # a run's summed windows: its first rise, the overlapped fall + rise of
+    # each neighbouring pair, its last fall
+    w = np.concatenate([windows[j0, :hop],
+                        (windows[j0:j1, hop:] + windows[j0 + 1:j1 + 1, :hop]).ravel(),
+                        windows[j1, hop:]])
+    seg_in = x[start:start + w.size]
+    seg_in = seg_in * w[:seg_in.size]
+    return [(start, np.stack([oaconvolve(seg_in, rir.samples[ch]) for ch in range(2)]))]
+
+
+def _convolve_grains(x, windows, hop, grains, scene, positions, nfft):
+    """[(start, (2, L) segment)] per single grain, each through the response
+    at its position, built in one batch and convolved at transform size nfft."""
+    rirs = stereo_rirs_for(scene, positions)
+    taps = max(rir.length for rir in rirs)
     inputs = np.zeros((len(grains), 2 * hop))
-    rirs = np.zeros((len(grains), 2, taps))
-    for i, (j, rir) in enumerate(grains):
+    kernels = np.zeros((len(grains), 2, taps))
+    for i, (j, rir) in enumerate(zip(grains, rirs)):
         grain = x[j * hop:j * hop + 2 * hop]
         inputs[i, :grain.size] = grain * windows[j, :grain.size]
-        rirs[i, :, :rir.length] = rir.samples
-    segs = irfft(rfft(inputs, nfft)[:, None, :] * rfft(rirs, nfft), nfft)
-    for i, (j, rir) in enumerate(grains):
-        start = j * hop
-        stop = min(start + 2 * hop + rir.length - 1, n)
-        out[start:stop] += segs[i, :, :stop - start].T
+        kernels[i, :, :rir.length] = rir.samples
+    segs = irfft(rfft(inputs, nfft)[:, None, :] * rfft(kernels, nfft), nfft)
+    return [(j * hop, segs[i, :, :2 * hop + rir.length - 1])
+            for i, (j, rir) in enumerate(zip(grains, rirs))]
 
 
 def _render_instant(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec,

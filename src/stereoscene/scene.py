@@ -239,23 +239,32 @@ class SourceSpec:
             raise ValidationError("instant source requires instant_time")
 
     def position_at(self, t: float) -> np.ndarray:
+        return self.positions([t])[0]
+
+    def positions(self, times) -> np.ndarray:
+        """Positions at each of ``times`` (seconds), shape (len(times), 3).
+
+        Before ``move_start`` the source sits at ``start_pos``, from
+        ``move_start + move_interval`` on at ``end_pos``, and in between it
+        moves linearly; instant sources jump at ``instant_time``.
+        """
+        t = np.asarray(times, dtype=np.float64)[:, None]
         start = np.asarray(self.start_pos, dtype=np.float64)
         end = np.asarray(self.end_pos, dtype=np.float64)
         if self.movement == "still":
-            return start
+            return np.repeat(start[None, :], t.shape[0], axis=0)
         if self.movement == "instant":
-            return start if t < self.instant_time else end
+            return np.where(t < self.instant_time, start, end)
         t0, dur = self.move_start, self.move_interval
-        if t < t0:
-            return start
-        if t >= t0 + dur or dur <= 0:
-            return end
-        return start + (t - t0) / dur * (end - start)
+        if dur <= 0:
+            return np.where(t < t0, start, end)
+        moved = start + (t - t0) / dur * (end - start)
+        return np.where(t < t0, start, np.where(t >= t0 + dur, end, moved))
 
     def trajectory(self, t_total: float, hop_s: float = 0.01) -> np.ndarray:
         """Positions sampled every ``hop_s`` seconds, shape (n, 3)."""
         n = int(round(t_total / hop_s))
-        return np.stack([self.position_at(i * hop_s) for i in range(n)])
+        return self.positions(np.arange(n) * hop_s)
 
 
 @dataclass(frozen=True)

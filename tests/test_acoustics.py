@@ -12,7 +12,9 @@ from stereoscene.acoustics import (
     AcousticsError,
     RirKernel,
     compute_rir,
+    compute_rirs,
     direct_path_rir,
+    direct_path_rirs,
     eyring_absorption,
     eyring_rt60,
     measure_rt60,
@@ -238,6 +240,47 @@ def test_compute_rir_matches_per_parity_reference():
         assert np.abs(got - expected).max() <= 1e-14 * peak
         for ch in range(expected.shape[0]):
             assert np.argmax(np.abs(got[ch])) == np.argmax(np.abs(expected[ch]))
+
+
+def test_compute_rirs_matches_per_position():
+    cases = [  # dims, rt60, mics, sources
+        # the first position splits into a full block and a tail that shares
+        # a block with the second
+        ((24.0, 22.0, 13.0), 0.3, [[12.0, 11.0 - 0.085, 1.5], [12.0, 11.0 + 0.085, 1.5]],
+         [[0.3, 0.4, 0.5], [12.5, 11.4, 1.6], [23.7, 21.5, 12.6], [12.0, 1.0, 2.0]]),
+        # a long thin room: the far source needs higher lattice orders and
+        # keeps images outside the near source's lattice
+        ((30.0, 6.0, 3.0), 0.4, [[1.0, 3.0 - 0.085, 1.5], [1.0, 3.0 + 0.085, 1.5]],
+         [[1.5, 3.5, 1.5], [29.0, 5.0, 2.5]]),
+    ]
+    dims, _, mics, srcs = cases[0]
+    kept = [_reference_compute_rir(dims, rt60_to_absorption(0.3, dims), s, mics)[1] for s in srcs]
+    assert kept[0] >= 4096 > kept[1] and kept[0] % 4096 + kept[1] <= 4096
+    for dims, rt60, mics, srcs in cases:
+        absorption = rt60_to_absorption(rt60, dims)
+        for length_s in (None, 0.05):
+            got = compute_rirs(dims, absorption, srcs, mics, fs=16000, length_s=length_s)
+            assert len(got) == len(srcs)
+            for src, rir in zip(srcs, got):
+                want = compute_rir(dims, absorption, src, mics, fs=16000, length_s=length_s)
+                assert np.array_equal(rir.samples, want.samples)
+            if length_s is None:  # lengths and lattice orders differ across the batch
+                lengths = np.array([rir.length for rir in got])
+                assert np.unique(lengths).size == len(srcs)
+                reach = (lengths + FRAC_DELAY_TAPS) / 16000 * SPEED_OF_SOUND
+                orders = np.ceil(reach[:, None] / (2.0 * np.asarray(dims))).astype(int)
+                assert np.unique(orders, axis=0).shape[0] > 1
+
+
+def test_direct_path_rirs_matches_per_position():
+    mics = np.array([[25.0, 25.0 - 0.085, 25.0], [25.0, 25.0 + 0.085, 25.0]])
+    srcs = np.array([[27.0, 30.0, 25.0], [25.1, 24.9, 25.0], [60.0, -3.0, 10.0]])
+    for length_s in (None, 0.01):
+        got = direct_path_rirs(srcs, mics, fs=16000, length_s=length_s)
+        assert len({rir.length for rir in got}) == (3 if length_s is None else 1)
+        for src, rir in zip(srcs, got):
+            want = direct_path_rir(src, mics, fs=16000, length_s=length_s)
+            assert np.array_equal(rir.samples, want.samples)
 
 
 def test_outdoor_mode_equals_full_absorption_ism():

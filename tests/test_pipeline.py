@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stereoscene import render
 from stereoscene.audio_io import AudioBuffer, read_wav, write_wav
 from stereoscene.guidance import AzimuthStateMatrix
 from stereoscene.pipeline import (
@@ -221,6 +222,25 @@ def test_reruns_byte_identical_across_worker_counts(tmp_path, clip_dir):
     synthesize(read_manifest(manifest_path), out1, global_seed=9, workers=1)
     synthesize(read_manifest(manifest_path), out2, global_seed=9, workers=2)
     assert _tree_digest(out1) == _tree_digest(out2)
+
+
+def test_indoor_moving_byte_identical_across_workers_and_threads(tmp_path, clip_dir,
+                                                                 monkeypatch):
+    # sd-in moves through a small room; with two entries, workers=2 renders
+    # them in worker processes, each on one thread
+    manifest_path = tmp_path / "m.jsonl"
+    _write_manifest(manifest_path, [e for e in _entries(clip_dir) if e["id"] in ("ss-a", "sd-in")])
+    digests = []
+    for workers, threads in ((1, 2), (2, 2), (1, 1)):
+        monkeypatch.setattr(render, "RENDER_THREADS", threads)
+        out = tmp_path / f"w{workers}-t{threads}"
+        index = synthesize(read_manifest(manifest_path), out, global_seed=9, workers=workers,
+                           duration=2.0)
+        assert [r["id"] for r in index.rows] == ["ss-a", "sd-in"]
+        digests.append(_tree_digest(out))
+    meta = json.loads((out / "sd-in.json").read_text())
+    assert meta["scene"]["rt60"] is not None and meta["trajectories_10ms"]
+    assert digests[0] == digests[1] == digests[2]
 
 
 def test_entry_seed_survives_reordering(tmp_path, clip_dir):

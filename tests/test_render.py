@@ -3,7 +3,7 @@ import pytest
 from scipy.signal import oaconvolve
 
 from stereoscene import render
-from stereoscene.acoustics import render_static, stereo_rir_for
+from stereoscene.acoustics import render_static, stereo_rir_for, stereo_rirs_for
 from stereoscene.audio_io import AudioBuffer
 from stereoscene.render import (
     MOVING_HOP_S,
@@ -227,16 +227,42 @@ def test_moving_render_matches_per_grain_reference(case, noise_clip, monkeypatch
         calls.append(tuple(np.round(pos, 9)))
         return rir_once(scene, pos)
 
+    def counted_batch(scene, positions):
+        calls.extend(tuple(np.round(pos, 9)) for pos in positions)
+        return stereo_rirs_for(scene, positions)
+
     monkeypatch.setattr(render, "stereo_rir_for", counted)
+    monkeypatch.setattr(render, "stereo_rirs_for", counted_batch)
     got = render_moving(clip, scene, src).data
     want = _per_grain_reference(clip, scene, src, rir_once)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    # one RIR per run of consecutive grains at the same position
+    # one RIR per run of consecutive grains at the same position, built
+    # singly or in a batch (jobs may finish in any order)
     n_grains = int(np.ceil(clip.n_samples / int(round(MOVING_HOP_S * 16000))))
     keys = [tuple(np.round(src.position_at(j * MOVING_HOP_S), 9)) for j in range(n_grains)]
     runs = [k for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
-    assert calls == runs
+    assert sorted(calls) == sorted(runs)
+
+
+def test_moving_render_bytes_independent_of_jobs_and_threads(noise_clip, monkeypatch):
+    # one job per 32-grain stack on one thread is the unsplit render; smaller
+    # jobs keep their stack's transform size, so every split gives its bytes.
+    # Receding from 0.5 m to 4.9 m, the source's RIR lengths vary within a stack.
+    mic = MicArray(center=(4.0, 4.0, 2.0), half_spacing=0.085)
+    src = SourceSpec(start_pos=(4.0, 4.6, 2.0), end_pos=(7.5, 7.5, 2.0), angle=0.0,
+                     distance=0.6, movement="moving", end_angle=45.0, end_distance=4.9,
+                     speed_ratio=0.3, move_start=0.2, move_interval=0.6)
+    scene = SceneSpec(room_dims=(8.0, 8.0, 4.0), rt60=0.3, mic_array=mic, sources=(src,),
+                      duration=2.0, sample_rate=16000)
+    clip = AudioBuffer(noise_clip.data[:16000 * 2], 16000)
+    outs = []
+    for job_grains, threads in ((render._GRAIN_BATCH, 1), (8, 2), (3, 2)):
+        monkeypatch.setattr(render, "_JOB_GRAINS", job_grains)
+        monkeypatch.setattr(render, "RENDER_THREADS", threads)
+        outs.append(render_moving(clip, scene, src).data)
+    assert np.array_equal(outs[1], outs[0])
+    assert np.array_equal(outs[2], outs[0])
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,41 @@ def test_linear_midpoint_of_motion():
     np.testing.assert_allclose(src.position_at(9.0), [1.0, 0.0, 0.0])
 
 
+def _scalar_position(src, t):
+    """The per-time branch rules that SourceSpec.positions vectorises."""
+    start, end = np.asarray(src.start_pos), np.asarray(src.end_pos)
+    if src.movement == "still":
+        return start
+    if src.movement == "instant":
+        return start if t < src.instant_time else end
+    t0, dur = src.move_start, src.move_interval
+    if t < t0:
+        return start
+    if t >= t0 + dur or dur <= 0:
+        return end
+    return start + (t - t0) / dur * (end - start)
+
+
+def test_positions_match_scalar_rules():
+    a, b = (0.1, 0.2, 0.3), (0.7, -0.9, 2.9)  # 0.2 + (-0.9 - 0.2) != -0.9
+    common = dict(start_pos=a, angle=30.0, distance=2.0)
+    sources = [
+        SourceSpec(end_pos=a, movement="still", **common),
+        SourceSpec(end_pos=b, movement="instant", end_angle=120.0, end_distance=3.0,
+                   instant_time=0.37, **common),
+        SourceSpec(end_pos=b, movement="moving", end_angle=120.0, end_distance=3.0,
+                   speed_ratio=0.3, move_start=0.13, move_interval=0.61, **common),
+        SourceSpec(end_pos=b, movement="moving", end_angle=120.0, end_distance=3.0,
+                   speed_ratio=0.3, move_start=0.5, move_interval=0.0, **common),
+    ]
+    # the 10 ms grid plus the exact switch times
+    times = np.concatenate([np.arange(120) * 0.01, [0.13, 0.37, 0.5, 0.13 + 0.61]])
+    for src in sources:
+        want = np.stack([_scalar_position(src, t) for t in times.tolist()])
+        assert np.array_equal(src.positions(times), want)
+        assert np.array_equal(src.trajectory(1.2), want[:120])
+
+
 def test_moving_trajectory_continuity():
     rng = SeededRng(47)
     room = (60.0, 60.0, 60.0)

@@ -103,7 +103,12 @@ def interp_center(traj: BinTrajectory, t: float) -> float:
 
 
 def centers_over_time(traj: BinTrajectory) -> np.ndarray:
-    return np.array([interp_center(traj, t) for t in range(D_TIME)])
+    """``interp_center`` at every time bin, bit for bit."""
+    t = np.arange(D_TIME)
+    t0, dur = traj.start_bin_t, traj.duration_bins
+    step = (t - t0) * (traj.mu_end - traj.mu_start) / max(dur, 1)
+    moving = traj.mu_start + step
+    return np.where(t < t0, traj.mu_start, np.where(t < t0 + dur, moving, traj.mu_end))
 
 
 def coarse_density(traj: BinTrajectory, sigma: float = COARSE_SIGMA) -> np.ndarray:

@@ -25,6 +25,12 @@ EMBED_DIM = 2560
 _EMBED_LAGS = 64
 _EMBED_BANDS = 8
 _EMBED_TIME_BUCKETS = 16
+# Rows per BLAS product of the GCC-PHAT lag evaluation. On one OpenBLAS
+# thread, rows 12-15 of a 16-row product (and some of a 32-row one) round
+# differently from the rest; on two threads, 48- and 64-row products do.
+# 12-row products round every row alike on one or two threads, so a frame's
+# bits do not depend on its position in the stack.
+GCC_TILE_ROWS = 12
 
 
 class MetricError(ValueError):
@@ -56,6 +62,23 @@ def _lag_basis(nfft: int, interp: int, max_shift: int) -> tuple[np.ndarray, np.n
     return cos, sin
 
 
+def _lag_products(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``x @ basis`` for a (..., K) frame or stack, in GCC_TILE_ROWS-row products.
+
+    Every BLAS call has the same (GCC_TILE_ROWS, K) @ (K, L) shape; only the
+    last tile is zero-padded.
+    """
+    flat = x.reshape(-1, x.shape[-1])
+    n = flat.shape[0]
+    rows = -(-n // GCC_TILE_ROWS) * GCC_TILE_ROWS
+    padded = np.zeros((rows, flat.shape[1]))
+    padded[:n] = flat
+    out = np.empty((rows, basis.shape[1]))
+    for i in range(0, rows, GCC_TILE_ROWS):
+        np.matmul(padded[i:i + GCC_TILE_ROWS], basis, out=out[i:i + GCC_TILE_ROWS])
+    return out[:n].reshape(x.shape[:-1] + basis.shape[1:])
+
+
 def gcc_phat_correlation(frame_left, frame_right, fs: int,
                          max_lag_s: float = MAX_LAG_S, interp: int = GCC_INTERP):
     """PHAT-whitened cross-correlation over +-max_lag_s.
@@ -67,8 +90,10 @@ def gcc_phat_correlation(frame_left, frame_right, fs: int,
     spectrum's even part E = re @ cos and odd part O = im @ sin, lag +l is
     E - O and lag -l is E + O. ``re`` is symmetric and ``im`` antisymmetric
     in the two channels bit for bit, so swapping the channels reverses the
-    lag axis exactly. Each frame is one matrix-vector product, so a frame's
-    result does not depend on the stack it arrives in.
+    lag axis exactly. Both parts are computed in fixed GCC_TILE_ROWS-row
+    matrix products (a 1-D frame is one zero-padded tile), so a frame's
+    result does not depend on the stack it arrives in. A frame with an
+    all-zero channel has no PHAT spectrum and raises ``MetricError``.
     """
     a = np.asarray(frame_left, dtype=np.float64)
     b = np.asarray(frame_right, dtype=np.float64)
@@ -77,8 +102,8 @@ def gcc_phat_correlation(frame_left, frame_right, fs: int,
     max_shift = int(round(max_lag_s * fs * interp))
     if a.shape[-1] * interp < 2 * max_shift:
         raise MetricError("frame too short for the requested lag range")
-    if not np.all(np.any(a, axis=-1) | np.any(b, axis=-1)):
-        raise MetricError("all-zero frame (gate silence upstream)")
+    if not np.all(np.any(a, axis=-1) & np.any(b, axis=-1)):
+        raise MetricError("frame with an all-zero channel (gate silence upstream)")
     nfft = 2 * a.shape[-1]
     fa = np.fft.rfft(a, n=nfft)
     fb = np.fft.rfft(b, n=nfft)
@@ -89,8 +114,8 @@ def gcc_phat_correlation(frame_left, frame_right, fs: int,
     re /= mag
     im /= mag
     cos, sin = _lag_basis(nfft, interp, max_shift)
-    even = (re[..., None, :] @ cos)[..., 0, :]
-    odd = (im[..., None, :] @ sin)[..., 0, :]
+    even = _lag_products(re, cos)
+    odd = _lag_products(im, sin)
     cc = np.concatenate([(even + odd)[..., :0:-1], even - odd], axis=-1)
     lags = np.arange(-max_shift, max_shift + 1) / (fs * interp)
     return lags, cc
@@ -171,10 +196,10 @@ def tdoa_series(stereo: AudioBuffer) -> TdoaSeries:
     """Per-window TDOA with silence gating, in one pass over the clip.
 
     A TDOA_WINDOW_S window is valid when the louder channel's RMS reaches
-    SILENCE_GATE_DBFS; only valid windows get a GCC-PHAT estimate and a
-    feature row (the peak-normalised correlogram at 64 lags over
-    +-MAX_LAG_S, then 8 log band energies per channel). All valid windows go
-    through one stacked GCC-PHAT call.
+    SILENCE_GATE_DBFS and neither channel is all zero; only valid windows
+    get a GCC-PHAT estimate and a feature row (the peak-normalised
+    correlogram at 64 lags over +-MAX_LAG_S, then 8 log band energies per
+    channel). All valid windows go through one stacked GCC-PHAT call.
     """
     if stereo.channels != 2:
         raise MetricError("tdoa_series expects a stereo buffer")
@@ -184,7 +209,8 @@ def tdoa_series(stereo: AudioBuffer) -> TdoaSeries:
     left = stereo.channel(0)[:n_win * win].reshape(n_win, win)
     right = stereo.channel(1)[:n_win * win].reshape(n_win, win)
     rms = np.maximum(np.sqrt(np.mean(left ** 2, axis=1)), np.sqrt(np.mean(right ** 2, axis=1)))
-    valid = rms >= 10.0 ** (SILENCE_GATE_DBFS / 20.0)
+    valid = ((rms >= 10.0 ** (SILENCE_GATE_DBFS / 20.0))
+             & np.any(left, axis=1) & np.any(right, axis=1))
 
     seg_l, seg_r = left[valid], right[valid]
     lags, cc = gcc_phat_correlation(seg_l, seg_r, fs)

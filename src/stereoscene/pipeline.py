@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -253,8 +254,9 @@ def synthesize(manifest: list[ManifestEntry], out_dir, global_seed: int = 0,
                pcm16: bool = False, subset_filter: str | None = None) -> DatasetIndex:
     """Synthesize every manifest entry into ``out_dir``.
 
-    Entry failures are recorded and skipped. The index is written in manifest
-    order regardless of worker scheduling.
+    Entry failures are recorded and skipped; with ``workers > 1`` that
+    includes the entries lost when a worker process dies. The index is written
+    in manifest order regardless of worker scheduling.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -265,8 +267,20 @@ def synthesize(manifest: list[ManifestEntry], out_dir, global_seed: int = 0,
     results: dict[str, tuple] = {}
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_render_serially) as pool:
-            for clip_id, row, err in pool.map(_entry_task, tasks):
-                results[clip_id] = (row, err)
+            # a worker that dies (killed, out of memory) breaks the pool: every
+            # entry not finished by then fails with that cause, and the
+            # finished ones keep their rows
+            futures = {}
+            for task in tasks:
+                try:
+                    futures[task[0].clip_id] = pool.submit(_entry_task, task)
+                except BrokenProcessPool as exc:
+                    results[task[0].clip_id] = (None, f"{type(exc).__name__}: {exc}")
+            for clip_id, future in futures.items():
+                try:
+                    results[clip_id] = future.result()[1:]
+                except BrokenProcessPool as exc:
+                    results[clip_id] = (None, f"{type(exc).__name__}: {exc}")
     else:
         for task in tasks:
             clip_id, row, err = _entry_task(task)

@@ -13,6 +13,7 @@ from stereoscene.guidance import (
     GuidanceError,
     L_AZI,
     angle_to_bin,
+    centers_over_time,
     coarse_density,
     coarse_matrix,
     fine_matrix,
@@ -154,6 +155,20 @@ def test_reflection_symmetry_fine_integer_centers(mu0, mu1, t0, frac):
     np.testing.assert_array_equal(hot_a[interp_exact], 65 - hot_b[interp_exact])
     # off-grid columns reflect within the one-bin floor asymmetry
     assert np.all(np.abs(hot_a + hot_b - 65) <= 1)
+
+
+def test_centers_over_time_equals_interp_center_loop():
+    rng = np.random.default_rng(768)
+    for i in range(400):
+        if i % 2:
+            mu0, mu1 = (float(m) for m in rng.integers(1, L_AZI + 1, 2))
+        else:
+            mu0, mu1 = rng.uniform(1.0, L_AZI, 2)
+        t0 = int(rng.integers(0, D_TIME + 1))
+        dur = 0 if i % 5 == 0 else int(rng.integers(0, D_TIME - t0 + 1))
+        traj = BinTrajectory(mu_start=mu0, mu_end=mu1, start_bin_t=t0, duration_bins=dur)
+        want = np.array([interp_center(traj, t) for t in range(D_TIME)])
+        assert np.array_equal(centers_over_time(traj), want), traj
 
 
 def test_matrix_save_load_roundtrip(tmp_path):

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +14,7 @@ from stereoscene.acoustics import render_static, stereo_rir_for
 from stereoscene.audio_io import AudioBuffer
 from stereoscene.metrics import (
     EMBED_DIM,
+    GCC_TILE_ROWS,
     MAX_LAG_S,
     EmbeddingStats,
     MetricError,
@@ -90,6 +97,18 @@ def test_scale_invariance(scale, seed):
 def test_all_zero_frame_rejected():
     with pytest.raises(MetricError):
         gcc_phat(np.zeros(1600), np.zeros(1600), 16000)
+    # one all-zero channel leaves no PHAT spectrum either
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(1600)
+    with pytest.raises(MetricError):
+        gcc_phat(x, np.zeros(1600), 16000)
+    with pytest.raises(MetricError):
+        gcc_phat(np.zeros(1600), x, 16000)
+    a = rng.standard_normal((3, 1600))
+    b = a.copy()
+    b[1] = 0.0
+    with pytest.raises(MetricError):
+        gcc_phat_correlation(a, b, 16000)
 
 
 def test_lag_bound_respected():
@@ -129,6 +148,22 @@ def test_partial_silence_gating():
     series = tdoa_series(AudioBuffer(x, 16000))
     valid_flags = [w.valid for w in series.windows]
     assert all(valid_flags[:50]) and not any(valid_flags[50:])
+
+
+def test_dead_channel_windows_invalid():
+    # the live channel passes the loudness gate, but a window with one
+    # all-zero channel has no PHAT spectrum and must not report a TDOA
+    rng = np.random.default_rng(10)
+    x = np.zeros((160000, 2))
+    x[:, 0] = rng.standard_normal(160000) * 0.5
+    x[80000:, 1] = x[80000:, 0]
+    series = tdoa_series(AudioBuffer(x, 16000))
+    assert [w.valid for w in series.windows] == [False] * 50 + [True] * 50
+    assert series.features.shape[0] == 50
+    dead = tdoa_series(AudioBuffer(x[:80000], 16000))
+    assert dead.n_valid == 0 and dead.mean_tdoa_ms() is None
+    score, _, skipped = gcc_mae({"c": dead, "d": series}, {"c": series, "d": series})
+    assert skipped == ["c"] and score == 0.0
 
 
 def _clip_kinds():
@@ -202,6 +237,56 @@ def test_stacked_correlation_equals_per_frame():
     for row in range(5):
         lags_1d, cc = gcc_phat_correlation(a[row], b[row], 16000)
         assert np.array_equal(lags, lags_1d) and np.array_equal(stacked[row], cc)
+
+
+def test_frame_bits_independent_of_tile_position():
+    # the lag products run in fixed GCC_TILE_ROWS-row tiles; a frame must
+    # come out the same at every position of a tile, next to random frames
+    # or to the zero rows that pad the last tile
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        a = rng.standard_normal(1600)
+        b = np.roll(a, int(rng.integers(-12, 12))) + 0.3 * rng.standard_normal(1600)
+        _, want = gcc_phat_correlation(a, b, 16000)
+        for pos in range(2 * GCC_TILE_ROWS):
+            for rows in (2 * GCC_TILE_ROWS, pos + 1):
+                sa = rng.standard_normal((rows, 1600))
+                sb = rng.standard_normal((rows, 1600))
+                sa[pos], sb[pos] = a, b
+                _, cc = gcc_phat_correlation(sa, sb, 16000)
+                assert np.array_equal(cc[pos], want), (pos, rows)
+
+
+_ONE_THREAD_RUN = """
+import json, sys
+import numpy as np
+from stereoscene.metrics import tdoa_series
+from test_metrics import _clip_kinds
+out = {}
+for kind, stereo in _clip_kinds():
+    series = tdoa_series(stereo)
+    out[kind] = [w.tdoa_s if w.valid else None for w in series.windows]
+    np.save(sys.argv[1] + "/" + kind + ".npy", series.features)
+print(json.dumps(out))
+"""
+
+
+def test_series_on_one_blas_thread_matches_in_process(tmp_path):
+    # OpenBLAS splits a tile product differently on one thread: the lag
+    # values move by round-off, the TDOAs (argmax) stay put
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = tests_dir.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+    proc = subprocess.run([sys.executable, "-c", _ONE_THREAD_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    one_thread = json.loads(proc.stdout.strip().splitlines()[-1])
+    for kind, stereo in _clip_kinds():
+        series = tdoa_series(stereo)
+        assert one_thread[kind] == [w.tdoa_s if w.valid else None for w in series.windows], kind
+        feats = np.load(tmp_path / f"{kind}.npy")
+        assert feats.shape == series.features.shape, kind
+        assert np.max(np.abs(feats - series.features)) <= 1e-13, kind
 
 
 def _zero_padded_irfft_reference(a, b, fs, max_lag_s, interp):

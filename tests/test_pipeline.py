@@ -1,11 +1,14 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stereoscene import render
+from stereoscene import pipeline, render
 from stereoscene.audio_io import AudioBuffer, read_wav, write_wav
 from stereoscene.guidance import AzimuthStateMatrix
 from stereoscene.pipeline import (
@@ -243,6 +246,37 @@ def test_indoor_moving_byte_identical_across_workers_and_threads(tmp_path, clip_
     assert digests[0] == digests[1] == digests[2]
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the crashing entry is planted through a fork-inherited patch")
+def test_dead_worker_fails_only_unfinished_entries(tmp_path, clip_dir, monkeypatch):
+    entries = _entries(clip_dir)[:3]
+    manifest_path = tmp_path / "m.jsonl"
+    _write_manifest(manifest_path, entries)
+    out = tmp_path / "out"
+    real_entry = pipeline.synthesize_entry
+
+    def crash_on_sd_a(entry, out_dir, *args):
+        if entry.clip_id != "sd-a":
+            return real_entry(entry, out_dir, *args)
+        # die once the other entries are written and reported
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline and not all(
+                (out_dir / f"{e['id']}.json").exists() for e in entries[:2]):
+            time.sleep(0.05)
+        time.sleep(1.0)
+        os._exit(3)
+
+    monkeypatch.setattr(pipeline, "synthesize_entry", crash_on_sd_a)
+    index = synthesize(read_manifest(manifest_path), out, global_seed=9, workers=2,
+                       duration=2.0)
+    assert [r["id"] for r in index.rows] == ["ss-a", "ss-b"]
+    assert [f["id"] for f in index.failures] == ["sd-a"]
+    assert index.failures[0]["error"].startswith("BrokenProcessPool: ")
+    assert [r["id"] for r in DatasetIndex.load(out / "index.jsonl").rows] == ["ss-a", "ss-b"]
+    failures = [json.loads(line) for line in (out / "failures.jsonl").read_text().splitlines()]
+    assert failures == index.failures
+
+
 def test_entry_seed_survives_reordering(tmp_path, clip_dir):
     entries = _entries(clip_dir)[:3]
     m1 = tmp_path / "m1.jsonl"
@@ -267,6 +301,23 @@ def test_fresh_dataset_validates_clean(synthesized):
     report = validate(out)
     assert report.checked == 6
     assert report.ok, report.violations
+
+
+def test_dead_channel_flagged_and_skipped(synthesized, tmp_path):
+    out, index = synthesized
+    import shutil
+
+    broken = tmp_path / "dead_right"
+    shutil.copytree(out, broken)
+    row = next(r for r in index.rows if r["id"] == "ss-a")
+    data = read_wav(broken / row["wav"]).data.copy()
+    data[:, 1] = 0.0
+    write_wav(broken / row["wav"], AudioBuffer(data, 16000))
+    report = validate(broken)
+    assert {(v["kind"], v["detail"]) for v in report.violations if v["id"] == "ss-a"} == {
+        ("tdoa_geometry", "no valid windows above the gate")}
+    scores = evaluate(broken, out)
+    assert "ss-a" in scores.skipped
 
 
 def test_truncated_wav_flagged(synthesized, tmp_path):

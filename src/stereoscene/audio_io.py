@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 
 class AudioFormatError(ValueError):
@@ -55,6 +54,8 @@ class AudioBuffer:
     def resample(self, target_rate: int) -> "AudioBuffer":
         if target_rate == self.sample_rate:
             return self
+        from scipy.signal import resample_poly  # loads scipy.signal only when rates differ
+
         g = np.gcd(int(target_rate), int(self.sample_rate))
         out = resample_poly(self.data, target_rate // g, self.sample_rate // g, axis=0)
         return AudioBuffer(out, target_rate)

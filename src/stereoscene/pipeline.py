@@ -256,8 +256,14 @@ def synthesize(manifest: list[ManifestEntry], out_dir, global_seed: int = 0,
 
     Entry failures are recorded and skipped; with ``workers > 1`` that
     includes the entries lost when a worker process dies. The index is written
-    in manifest order regardless of worker scheduling.
+    in manifest order regardless of worker scheduling. A clip id that occurs
+    twice raises ManifestError before anything is written.
     """
+    seen = set()
+    for entry in manifest:
+        if entry.clip_id in seen:
+            raise ManifestError(f"duplicate clip id {entry.clip_id!r}")
+        seen.add(entry.clip_id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if subset_filter:

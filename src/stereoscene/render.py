@@ -11,10 +11,9 @@ from functools import partial
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import oaconvolve
 
-from .acoustics import (AcousticsError, render_static, stereo_rir_for, stereo_rir_lengths,
-                        stereo_rirs_for)
+from .acoustics import (AcousticsError, render_static, stereo_convolve, stereo_rir_for,
+                        stereo_rir_lengths, stereo_rirs_for)
 from .audio_io import AudioBuffer
 from .rng import SeededRng
 from .scene import SceneSpec, SourceSpec
@@ -26,7 +25,7 @@ MIN_SEGMENT_S = 1.0
 TARGET_CLIP_S = 10.0
 MOVING_HOP_S = 0.01
 _GRAIN_BATCH = 32  # single-grain runs sharing one transform size
-_JOB_GRAINS = 8  # single-grain runs per job: one batched RIR build, one stacked FFT
+_JOB_GRAINS = 8  # single-grain runs per job in a room: one batched RIR build, one stacked FFT
 # threads rendering one moving source, the calling thread included; worker
 # processes of a multi-process synthesize set it to 1
 RENDER_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -150,15 +149,15 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
     before any response is built.
 
     The work is cut into jobs: one multi-grain run, whose response
-    ``stereo_rir_for`` builds on the calling thread, or ``_JOB_GRAINS``
-    single-grain runs of one stack, whose responses come from one
-    ``stereo_rirs_for`` batch. In a room, jobs run on ``RENDER_THREADS``
-    threads, the calling thread included, one job per thread at a time;
-    anechoic scenes run them on the calling thread alone. The calling thread
-    adds the results in a fixed order, so the output bytes do not depend on
-    the thread count. Responses are dropped once their job is added. Instant
-    sources render as two static halves crossfaded over one hop at the jump
-    time.
+    ``stereo_rir_for`` builds on the calling thread, or single-grain runs of
+    one stack, whose responses come from one ``stereo_rirs_for`` batch. In a
+    room, a job takes ``_JOB_GRAINS`` of a stack's grains, and jobs run on
+    ``RENDER_THREADS`` threads, the calling thread included, one job per
+    thread at a time; anechoic scenes run one job per stack on the calling
+    thread alone. The calling thread adds the results in a fixed order, so
+    the output bytes do not depend on the thread count. Responses are
+    dropped once their job is added. Instant sources render as two static
+    halves crossfaded over one hop at the jump time.
     """
     if source.movement == "still":
         rir = stereo_rir_for(scene, np.asarray(source.start_pos))
@@ -194,12 +193,17 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
         rir = stereo_rir_for(scene, positions[j0])
         return partial(_convolve_run, x, windows, hop, j0, j1, rir)
 
+    # a direct-path response takes tens of microseconds, mostly interpreter
+    # time, so a second thread would only contend for the interpreter lock;
+    # on one thread, splitting a stack into jobs only adds calls
+    threads = 1 if scene.anechoic else RENDER_THREADS
+    job_grains = _GRAIN_BATCH if scene.anechoic else _JOB_GRAINS
     jobs = []
 
     def add_stack(stack):
         nfft = next_fast_len(2 * hop + max(taps[j] for j in stack) - 1, real=True)
-        for i in range(0, len(stack), _JOB_GRAINS):
-            jobs.append(partial(grains_task, stack[i:i + _JOB_GRAINS], nfft))
+        for i in range(0, len(stack), job_grains):
+            jobs.append(partial(grains_task, stack[i:i + job_grains], nfft))
 
     stack = []
     for j0, j1 in zip(firsts.tolist(), lasts.tolist()):
@@ -213,9 +217,6 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
     if stack:
         add_stack(stack)
 
-    # a direct-path response takes tens of microseconds, mostly interpreter
-    # time, so a second thread would only contend for the interpreter lock
-    threads = 1 if scene.anechoic else RENDER_THREADS
     out = np.zeros((n, 2))
     for segments in _run_jobs(jobs, threads):
         for start, seg in segments:
@@ -257,7 +258,7 @@ def _convolve_run(x, windows, hop, j0, j1, rir):
                         windows[j1, hop:]])
     seg_in = x[start:start + w.size]
     seg_in = seg_in * w[:seg_in.size]
-    return [(start, np.stack([oaconvolve(seg_in, rir.samples[ch]) for ch in range(2)]))]
+    return [(start, stereo_convolve(seg_in, rir.samples))]
 
 
 def _convolve_grains(x, windows, hop, grains, scene, positions, nfft):
@@ -293,11 +294,9 @@ def _render_instant(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec,
         gate_a[jump - fade // 2: jump - fade // 2 + fade] = 1.0 - ramp
     gate_b = 1.0 - gate_a
 
-    out = np.zeros((n, 2))
-    for ch in range(2):
-        out[:, ch] += oaconvolve(x * gate_a, rir_a.samples[ch])[:n]
-        out[:, ch] += oaconvolve(x * gate_b, rir_b.samples[ch])[:n]
-    return AudioBuffer(out, fs)
+    out = stereo_convolve(x * gate_a, rir_a.samples)[:, :n]
+    out += stereo_convolve(x * gate_b, rir_b.samples)[:, :n]
+    return AudioBuffer(np.ascontiguousarray(out.T), fs)
 
 
 @dataclass(frozen=True)

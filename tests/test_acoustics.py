@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import oaconvolve
 
 from stereoscene.acoustics import (
     FRAC_DELAY_TAPS,
@@ -20,6 +21,7 @@ from stereoscene.acoustics import (
     measure_rt60,
     render_static,
     rt60_to_absorption,
+    stereo_convolve,
     stereo_rir_for,
     _frac_delay_taps,
 )
@@ -363,6 +365,42 @@ def test_render_impulse_reproduces_rir():
     np.testing.assert_allclose(out.data[:n, 0], rir.samples[0][:n], atol=1e-12)
     np.testing.assert_allclose(out.data[:n, 1], rir.samples[1][:n], atol=1e-12)
     assert out.n_samples == 16000
+
+
+def _renderer_convolution_cases():
+    """(name, mono input, (2, L) kernel) on the shapes the renderer convolves."""
+    rng = np.random.default_rng(21)
+    clip = rng.standard_normal(160000) * 0.3  # a 10 s still clip
+    dims = (6.0, 5.0, 3.0)
+    indoor = compute_rir(dims, rt60_to_absorption(0.45, dims), [2.0, 3.5, 1.5],
+                         [[4.0, 2.0, 1.2], [4.17, 2.0, 1.2]]).samples
+    open_field = open_field_scene([])
+    near = stereo_rir_for(open_field, np.asarray(polar_pos(30.0, 0.4))).samples
+    far = stereo_rir_for(open_field, np.asarray(polar_pos(150.0, 37.0))).samples
+    # the two halves of an instant source, gated as render_moving gates them
+    jump, fade = 70000, 160
+    gate_a = np.zeros(clip.size)
+    gate_a[:jump] = 1.0
+    gate_a[jump - fade // 2:jump + fade // 2] = 0.5 * (1.0 + np.cos(np.pi * np.arange(fade) / fade))
+    return [
+        ("still-indoor", clip, indoor),
+        ("still-outdoor-near", clip, near),
+        ("still-outdoor-far", clip, far),
+        ("run-shorter-than-kernel", clip[:480], indoor),
+        ("run-outdoor", clip[:20000], far),
+        ("one-tap", clip, np.array([[0.5], [-0.25]])),
+        ("instant-first-half", clip * gate_a, indoor),
+        ("instant-second-half", clip * (1.0 - gate_a), near),
+    ]
+
+
+def test_stereo_convolve_matches_per_channel_oaconvolve():
+    for name, x, kernel in _renderer_convolution_cases():
+        ref = np.stack([oaconvolve(x, kernel[ch]) for ch in range(2)])
+        got = stereo_convolve(x, kernel)
+        assert got.shape == ref.shape == (2, x.size + kernel.shape[1] - 1), name
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+        assert np.array_equal(np.argmax(np.abs(got), axis=1), np.argmax(np.abs(ref), axis=1)), name
 
 
 def test_render_silence_is_silent():

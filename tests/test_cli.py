@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,3 +147,48 @@ def test_bad_subcommand_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+_FOOTPRINT_RUN = r"""
+import json, sys
+from pathlib import Path
+
+import numpy as np
+
+import stereoscene
+import stereoscene.cli
+from stereoscene.audio_io import AudioBuffer, write_wav
+
+root = Path(sys.argv[1])
+clip = root / "noise.wav"
+write_wav(clip, AudioBuffer(np.random.default_rng(8).standard_normal(16000 * 11) * 0.3, 16000))
+entries = [
+    {"id": "still", "subset": "SS", "audio": str(clip),
+     "caption": "A dog barks on the right side of the scene, outdoors."},
+    {"id": "moving", "subset": "SD", "audio": str(clip),
+     "caption": "A siren moves from left to front right quickly, outdoors."},
+    {"id": "instant", "subset": "SD", "audio": str(clip),
+     "caption": "A dog barks at left, then another dog barks at right, outdoors."},
+]
+(root / "manifest.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+ds = str(root / "ds")
+codes = [stereoscene.cli.main(argv) for argv in (
+    ["synthesize", "--manifest", str(root / "manifest.jsonl"), "--out", ds],
+    ["validate", "--dataset", ds],
+    ["evaluate", "--generated", ds, "--reference", ds],
+)]
+print(json.dumps({"codes": codes, "signal_loaded": "scipy.signal" in sys.modules}))
+"""
+
+
+def test_cli_flow_never_imports_scipy_signal(tmp_path):
+    # still, moving and instant renders on 16 kHz audio; evaluate needs at
+    # least two pairs for its covariances
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src_dir), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "signal_loaded": False}
+    assert (tmp_path / "ds" / "instant.wav").exists()

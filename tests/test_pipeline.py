@@ -83,6 +83,15 @@ def test_manifest_duplicate_ids_rejected(tmp_path, clip_dir):
         read_manifest(path)
 
 
+def test_synthesize_rejects_duplicate_ids_before_writing(tmp_path, clip_dir):
+    first, second = (ManifestEntry.from_dict(e) for e in _entries(clip_dir)[:2])
+    dup = ManifestEntry.from_dict(dict(_entries(clip_dir)[1], id=first.clip_id))
+    out = tmp_path / "ds"
+    with pytest.raises(ManifestError, match=repr(first.clip_id)):
+        synthesize([first, second, dup], out, global_seed=1)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", [
     '{"id": "a", "audio": 5, "caption": "A dog barks on the left."}',
     '{"id": "a", "audio": "x.wav", "attributes": "nope"}',

@@ -61,6 +61,15 @@ def test_resample_preserves_duration():
     assert abs(out.duration - 1.0) < 0.001
 
 
+def test_resample_equals_resample_poly():
+    from scipy.signal import resample_poly
+
+    rng = np.random.default_rng(4)
+    for data in (rng.standard_normal(44100) * 0.3, rng.standard_normal((44100, 2)) * 0.3):
+        out = AudioBuffer(data, 44100).resample(16000)
+        assert np.array_equal(out.data, resample_poly(data, 160, 441, axis=0))
+
+
 def test_bad_shapes_rejected():
     with pytest.raises(AudioFormatError):
         AudioBuffer(np.zeros((10, 3)), 16000)

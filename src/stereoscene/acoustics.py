@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .audio_io import AudioBuffer
 
@@ -351,6 +351,21 @@ def compute_rirs(room_dims, absorption: AbsorptionSet, sources, mic_pos,
     return [RirKernel(samples=h, sample_rate=fs) for h in placed]
 
 
+def next_fast_len(n: int) -> int:
+    """The smallest 5-smooth number (2**a * 3**b * 5**c) >= n: a fast size
+    for a real FFT, equal to ``scipy.fft.next_fast_len(n, real=True)``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _oa_transform_size(n: int, taps: int) -> int:
     """Transform size for overlap-add of ``n`` input samples with ``taps`` taps.
 
@@ -365,9 +380,9 @@ def _oa_transform_size(n: int, taps: int) -> int:
         blocks = -(-n // (nfft - taps + 1))
         return (3 * blocks + 2) * nfft * math.log2(nfft) + blocks * _OA_BLOCK_COST
 
-    sizes = [next_fast_len(taps - 1 + (1 << k), real=True)
+    sizes = [next_fast_len(taps - 1 + (1 << k))
              for k in range(max(1, (taps - 1).bit_length()), (n - 1).bit_length())]
-    return min(sizes + [next_fast_len(n + taps - 1, real=True)], key=cost)
+    return min(sizes + [next_fast_len(n + taps - 1)], key=cost)
 
 
 def stereo_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import captions as cap
 from . import metrics, pipeline
-from .audio_io import AudioBuffer, read_wav, write_wav
+from .audio_io import AudioBuffer, AudioFormatError, read_wav, write_wav
 from .acoustics import stereo_rir_for
 from .render import crop_pad, mix_scene, render_moving
 from .rng import SeededRng
@@ -97,7 +97,11 @@ def _cmd_render_scene(args) -> int:
     rng = SeededRng(args.seed)
     clips = []
     for i, path in enumerate(args.audio):
-        clip = read_wav(path).mono().resample(scene.sample_rate)
+        try:
+            clip = read_wav(path).mono().resample(scene.sample_rate)
+        except (OSError, AudioFormatError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         clips.append(crop_pad(clip, rng.child(f"crop{i}"), target_s=scene.duration))
     rendered = [
         render_moving(clips[i % len(clips)], scene, src)

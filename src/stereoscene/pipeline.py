@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from . import captions as cap
 from . import guidance, metrics, render
-from .audio_io import AudioBuffer, read_wav, write_wav
+from .audio_io import AudioBuffer, AudioFormatError, read_wav, read_wav_info, write_wav
 from .render import crop_pad, mix_scene, render_moving
 from .rng import SeededRng, entry_seed
 from .scene import AttributeRecord, SceneSpec, resolve_attributes, sample_scene
@@ -29,6 +28,16 @@ from .scene import ValidationError
 SUBSETS = ("SS", "DS", "SD", "M")
 SUBSET_SOURCE_COUNTS = {"SS": (1, 1), "DS": (2, 2), "SD": (1, 1), "M": (1, 4)}
 MASTER_PEAK_DBFS = -1.0
+
+# glibc's malloc serves a block from the heap when it is below a threshold
+# that rises to the size of each larger mmapped block freed (up to 32 MiB),
+# and returns free heap top to the system beyond twice that threshold.
+# Freeing one block just under the cap makes clip-sized arrays come from the
+# heap and stay mapped from one clip to the next. Left to chance, the
+# threshold can sit low, and every clip maps, zero-fills and unmaps them
+# again: 0.5-3 million page faults per 30 s benchmark run instead of
+# 13-19 thousand. np.empty touches no page; other allocators just free the block.
+np.empty((32 << 20) - (1 << 16), np.uint8)
 
 
 class ManifestError(ValueError):
@@ -343,10 +352,7 @@ def _expected_itd_s(scene: SceneSpec, source) -> float:
 def _master_peak_limit(wav_path) -> float:
     """The master peak plus one rounding step of the WAV file's sample format."""
     target = 10.0 ** (MASTER_PEAK_DBFS / 20.0)
-    dtype = wavfile.read(str(wav_path), mmap=True)[1].dtype  # header only
-    if dtype.kind in "iu":
-        return target + 2.0 ** (1 - 8 * dtype.itemsize)  # 1 LSB as read_wav scales it
-    return target + float(np.spacing(dtype.type(target)))
+    return target + read_wav_info(wav_path).rounding_step(target)
 
 
 def validate(dataset_dir) -> ValidationReport:
@@ -461,8 +467,12 @@ def _wav_paths(dir_or_index) -> dict[str, Path]:
 
 
 def _finite_series(path) -> metrics.TdoaSeries | None:
-    """The clip's TDOA series, or None when the clip has non-finite samples."""
-    buf = read_wav(path)
+    """The clip's TDOA series, or None when the clip is unreadable or has
+    non-finite samples."""
+    try:
+        buf = read_wav(path)
+    except AudioFormatError:
+        return None
     if not np.all(np.isfinite(buf.data)):
         return None
     return metrics.tdoa_series(buf)
@@ -492,15 +502,15 @@ def evaluate(gen_dir, ref_dir_or_index,
     ``metrics.tdoa_series``; its window features give the embedding for
     every Frechet distance. A pair whose generated or reference clip has
     non-finite samples is scored like an unpaired clip: left out of every
-    score and listed in ``skipped``. With
+    score and listed in ``skipped``; so is a pair with an unreadable WAV. With
     ``external_embeddings`` = (gen_dir, ref_dir) of .bin/.json files, the
     Frechet distance additionally uses those vectors (``crw_mae`` appears
     when sidecars carry ``mean_tdoa_ms``).
     """
     gen = _wav_paths(gen_dir)
     ref = _wav_paths(ref_dir_or_index)
-    # one clip in memory at a time; a pair with a non-finite side is left
-    # out of every score, like an unpaired clip
+    # one clip in memory at a time; a pair with an unreadable or non-finite
+    # side is left out of every score, like an unpaired clip
     gen_series, ref_series = {}, {}
     for k in sorted(set(gen) & set(ref)):
         g = _finite_series(gen[k])

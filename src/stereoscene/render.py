@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
-from .acoustics import (AcousticsError, render_static, stereo_convolve, stereo_rir_for,
-                        stereo_rir_lengths, stereo_rirs_for)
+from .acoustics import (AcousticsError, next_fast_len, render_static, stereo_convolve,
+                        stereo_rir_for, stereo_rir_lengths, stereo_rirs_for)
 from .audio_io import AudioBuffer
 from .rng import SeededRng
 from .scene import SceneSpec, SourceSpec
@@ -201,7 +201,7 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
     jobs = []
 
     def add_stack(stack):
-        nfft = next_fast_len(2 * hop + max(taps[j] for j in stack) - 1, real=True)
+        nfft = next_fast_len(2 * hop + max(taps[j] for j in stack) - 1)
         for i in range(0, len(stack), job_grains):
             jobs.append(partial(grains_task, stack[i:i + job_grains], nfft))
 

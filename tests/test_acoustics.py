@@ -19,6 +19,7 @@ from stereoscene.acoustics import (
     eyring_absorption,
     eyring_rt60,
     measure_rt60,
+    next_fast_len,
     render_static,
     rt60_to_absorption,
     stereo_convolve,
@@ -401,6 +402,14 @@ def test_stereo_convolve_matches_per_channel_oaconvolve():
         assert got.shape == ref.shape == (2, x.size + kernel.shape[1] - 1), name
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
         assert np.array_equal(np.argmax(np.abs(got), axis=1), np.argmax(np.abs(ref), axis=1)), name
+
+
+def test_next_fast_len_equals_scipy():
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    sizes = range(1, 2 ** 17 + 1)
+    assert [next_fast_len(n) for n in sizes] == \
+        [scipy_next_fast_len(n, real=True) for n in sizes]
 
 
 def test_render_silence_is_silent():

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from stereoscene.audio_io import AudioBuffer, read_wav, write_wav
+from stereoscene.captions import parse_caption
 from stereoscene.cli import main
+from stereoscene.rng import SeededRng
+from stereoscene.scene import sample_scene
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +146,22 @@ def test_render_scene_with_rir_export(workspace, tmp_path, capsys):
     assert rir.channels == 1 and np.any(rir.data)
 
 
+@pytest.mark.parametrize("defect", ["fmt chunk shorter than declared", "No such file"])
+def test_render_scene_unreadable_audio_exits_two(workspace, tmp_path, capsys, defect):
+    _, clip, _ = workspace
+    record = parse_caption("A dog barks on the left, outdoors.")
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(sample_scene(record, SeededRng(1)).to_json())
+    bad = tmp_path / "bad.wav"
+    if defect != "No such file":
+        bad.write_bytes(clip.read_bytes()[:30])
+    assert main(["render-scene", "--scene", str(scene_path), "--audio", str(bad),
+                 "--out", str(tmp_path / "out.wav")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and defect in err
+    assert not (tmp_path / "out.wav").exists()
+
+
 def test_bad_subcommand_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -169,6 +188,8 @@ entries = [
      "caption": "A siren moves from left to front right quickly, outdoors."},
     {"id": "instant", "subset": "SD", "audio": str(clip),
      "caption": "A dog barks at left, then another dog barks at right, outdoors."},
+    {"id": "room", "subset": "SD", "audio": str(clip),
+     "caption": "A siren moves from left to right slowly in a large space."},
 ]
 (root / "manifest.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
 ds = str(root / "ds")
@@ -177,18 +198,21 @@ codes = [stereoscene.cli.main(argv) for argv in (
     ["validate", "--dataset", ds],
     ["evaluate", "--generated", ds, "--reference", ds],
 )]
-print(json.dumps({"codes": codes, "signal_loaded": "scipy.signal" in sys.modules}))
+print(json.dumps({"codes": codes, "signal_loaded": "scipy.signal" in sys.modules,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
 def test_cli_flow_never_imports_scipy_signal(tmp_path):
-    # still, moving and instant renders on 16 kHz audio; evaluate needs at
-    # least two pairs for its covariances
+    # still, moving and instant renders on 16 kHz audio, plus a moving source
+    # in a room (batched RIR builds, two render threads); evaluate needs at
+    # least two pairs for its covariances. No scipy module loads at all.
     src_dir = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src_dir), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_RUN, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"codes": [0, 0, 0], "signal_loaded": False}
+    assert result == {"codes": [0, 0, 0], "signal_loaded": False, "scipy": []}
     assert (tmp_path / "ds" / "instant.wav").exists()
+    assert (tmp_path / "ds" / "room.wav").exists()

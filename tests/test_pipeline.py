@@ -428,8 +428,9 @@ def test_evaluate_unpaired_reported(synthesized, tmp_path):
     assert set(report.skipped) == {r["id"] for r in index.rows[3:]}
 
 
-@pytest.mark.parametrize("side", ["gen", "ref"])
-def test_evaluate_excludes_non_finite_clip(synthesized, tmp_path, side):
+def _evaluate_with_one_bad_clip(synthesized, tmp_path, side, damage):
+    """Score a three-clip set whose middle clip ``damage`` spoils on ``side``
+    against the same set without that clip."""
     out, index = synthesized
     ids = [row["id"] for row in index.rows[:3]]
     dirs = {name: tmp_path / name for name in ("gen", "ref", "gen2", "ref2")}
@@ -441,10 +442,7 @@ def test_evaluate_excludes_non_finite_clip(synthesized, tmp_path, side):
         if i != 1:
             write_wav(dirs["gen2"] / f"{clip_id}.wav", AudioBuffer(gen, 16000))
             write_wav(dirs["ref2"] / f"{clip_id}.wav", AudioBuffer(ref, 16000))
-    bad = dirs[side] / f"{ids[1]}.wav"
-    data = read_wav(bad).data.copy()
-    data[2000:21900] = np.nan
-    write_wav(bad, AudioBuffer(data, 16000))
+    damage(dirs[side] / f"{ids[1]}.wav")
 
     report = evaluate(dirs["gen"], dirs["ref"])
     clean = evaluate(dirs["gen2"], dirs["ref2"])
@@ -452,6 +450,24 @@ def test_evaluate_excludes_non_finite_clip(synthesized, tmp_path, side):
     assert (report.gcc_mae, report.gcc_ma, report.fsad) == \
         (clean.gcc_mae, clean.gcc_ma, clean.fsad)
     assert clean.gcc_mae > 0 and clean.fsad > 0
+
+
+@pytest.mark.parametrize("side", ["gen", "ref"])
+def test_evaluate_excludes_non_finite_clip(synthesized, tmp_path, side):
+    def plant_nan(bad):
+        data = read_wav(bad).data.copy()
+        data[2000:21900] = np.nan
+        write_wav(bad, AudioBuffer(data, 16000))
+
+    _evaluate_with_one_bad_clip(synthesized, tmp_path, side, plant_nan)
+
+
+@pytest.mark.parametrize("side", ["gen", "ref"])
+def test_evaluate_skips_unreadable_clip(synthesized, tmp_path, side):
+    def truncate(bad):  # cut inside the fmt chunk
+        bad.write_bytes(bad.read_bytes()[:30])
+
+    _evaluate_with_one_bad_clip(synthesized, tmp_path, side, truncate)
 
 
 def test_evaluate_with_external_embeddings(synthesized, tmp_path):

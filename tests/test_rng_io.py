@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
+from stereoscene import audio_io
 from stereoscene.audio_io import AudioBuffer, AudioFormatError, read_wav, write_wav
 from stereoscene.rng import SeededRng, entry_seed
 
@@ -51,6 +55,139 @@ def test_wav_pcm16_roundtrip(tmp_path):
     write_wav(path, buf, pcm16=True)
     back = read_wav(path)
     np.testing.assert_allclose(back.data, buf.data, atol=1e-4)
+
+
+@pytest.mark.parametrize("pcm16", [False, True])
+@pytest.mark.parametrize("shape", [(4001,), (4001, 2)])
+def test_write_wav_bytes_equal_scipy_wavfile(tmp_path, pcm16, shape):
+    data = np.random.default_rng(2).standard_normal(shape) * 0.6  # some samples clip
+    write_wav(tmp_path / "ours.wav", AudioBuffer(data, 22050), pcm16=pcm16)
+    samples = (np.round(np.clip(data, -1.0, 1.0) * 32767.0).astype(np.int16) if pcm16
+               else data.astype(np.float32))
+    wavfile.write(tmp_path / "scipy.wav", 22050, samples)
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+def _scipy_read_wav(path):
+    """read_wav's conversion on top of scipy's reader: the oracle for the codec."""
+    rate, data = wavfile.read(path)
+    if data.dtype == np.uint8:
+        return rate, (data.astype(np.float64) - 128.0) / 128.0
+    scale = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0}.get(data.dtype, 1.0)
+    return rate, data.astype(np.float64) / scale
+
+
+def _riff(fmt: bytes, data: bytes, before_data: bytes = b"") -> bytes:
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + before_data
+            + b"data" + struct.pack("<I", len(data)) + data)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _pcm_fmt(tag, channels, rate, width):
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * width * channels,
+                       width * channels, 8 * width)
+
+
+def _int24_bytes(samples):
+    return np.ascontiguousarray(samples.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3]).tobytes()
+
+
+_KS_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _oracle_files(tmp_path):
+    rng = np.random.default_rng(3)
+    stereo = rng.standard_normal((999, 2)) * 0.3
+    files = {}
+    for name, samples in (
+        ("u8", np.round(stereo * 100 + 128).astype(np.uint8)),
+        ("i16", np.round(stereo * 30000).astype(np.int16)),
+        ("i32", np.round(stereo * 5e8).astype(np.int32)),
+        ("f32", stereo.astype(np.float32)),
+        ("f64", stereo[:, 0].copy()),
+    ):
+        files[name] = tmp_path / f"{name}.wav"
+        wavfile.write(files[name], 16000, samples)
+    i24 = np.round(stereo * 8e6).astype(np.int32)
+    files["i24"] = tmp_path / "i24.wav"
+    files["i24"].write_bytes(_riff(_pcm_fmt(1, 2, 16000, 3), _int24_bytes(i24)))
+    ext = (_pcm_fmt(0xFFFE, 2, 16000, 2) + struct.pack("<HHI", 22, 16, 3)
+           + struct.pack("<I", 1) + _KS_TAIL)
+    pcm = np.round(stereo * 30000).astype("<i2").tobytes()
+    files["extensible"] = tmp_path / "extensible.wav"
+    files["extensible"].write_bytes(_riff(ext, pcm))
+    files["odd_list"] = tmp_path / "odd_list.wav"
+    files["odd_list"].write_bytes(
+        _riff(_pcm_fmt(1, 2, 16000, 2), pcm, b"LIST" + struct.pack("<I", 5) + b"INFOx\x00"))
+    return files
+
+
+def test_read_wav_equals_scipy_wavfile(tmp_path):
+    for name, path in _oracle_files(tmp_path).items():
+        rate, want = _scipy_read_wav(path)
+        buf = read_wav(path)
+        assert buf.sample_rate == rate == 16000, name
+        assert buf.data.dtype == np.float64 and np.array_equal(buf.data, want), name
+
+
+def _valid_pcm16(tmp_path):
+    path = tmp_path / "valid.wav"
+    write_wav(path, AudioBuffer(np.zeros((100, 2)), 16000), pcm16=True)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("make, defect", [
+    (lambda ok: b"\x00" * 30, "not a RIFF/WAVE file"),
+    (lambda ok: ok[:30], "fmt chunk shorter than declared (10 of 16 bytes)"),
+    (lambda ok: _riff(b"\x01\x00" * 6, b""), "fmt chunk of 12 bytes, under 16"),
+    (lambda ok: ok[:36], "no data chunk"),
+    (lambda ok: _riff(b"", b"")[:12] + ok[36:], "no fmt chunk"),
+    (lambda ok: ok[:-1], "data chunk shorter than declared (399 of 400 bytes)"),
+    (lambda ok: _riff(_pcm_fmt(6, 1, 8000, 1), b"\x00" * 8), "tag 0x0006, 8 bits"),
+    (lambda ok: _riff(struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 12), b"\x00" * 8),
+     "tag 0x0001, 12 bits"),
+    (lambda ok: _riff(_pcm_fmt(3, 1, 8000, 2), b"\x00" * 8), "tag 0x0003, 16 bits"),
+    (lambda ok: _riff(_pcm_fmt(1, 1, 8000, 8), b"\x00" * 8), "tag 0x0001, 64 bits"),
+    (lambda ok: _riff(_pcm_fmt(0xFFFE, 1, 8000, 2) + b"\x00" * 24, b"\x00" * 8),
+     "WAVE_FORMAT_EXTENSIBLE"),
+])
+def test_unreadable_wav_names_path_and_defect(tmp_path, make, defect):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(make(_valid_pcm16(tmp_path)))
+    with pytest.raises(AudioFormatError) as exc:
+        read_wav(path)
+    assert str(path) in str(exc.value) and defect in str(exc.value)
+
+
+def test_failed_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "x.wav"
+    write_wav(path, AudioBuffer(np.zeros(100), 16000))
+    before = path.read_bytes()
+
+    class Failing:
+        # the header write succeeds, the sample write fails partway
+        def __init__(self, *args):
+            self.f = open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, chunk):
+            if self.f.tell():
+                self.f.write(bytes(chunk)[:10])
+                raise OSError("disk full")
+            self.f.write(chunk)
+
+    monkeypatch.setattr(audio_io, "open", Failing, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write_wav(path, AudioBuffer(np.ones(100), 16000))
+    with pytest.raises(OSError, match="disk full"):
+        write_wav(tmp_path / "new.wav", AudioBuffer(np.ones(100), 16000))
+    assert [p.name for p in tmp_path.iterdir()] == ["x.wav"]
+    assert path.read_bytes() == before
 
 
 def test_resample_preserves_duration():

@@ -53,6 +53,8 @@ class AbsorptionSet:
         c = np.asarray(self.coefficients, dtype=np.float64)
         if c.shape != (6,) or np.any(c <= 0) or np.any(c > 1):
             raise AcousticsError("wall absorption must be six values in (0, 1]")
+        # a tuple, so that the set can key the cached image lattice
+        object.__setattr__(self, "coefficients", tuple(c.tolist()))
 
     @staticmethod
     def uniform(alpha: float) -> "AbsorptionSet":
@@ -263,14 +265,14 @@ def direct_path_rirs(sources, mic_pos, fs: int = 16000,
 
 
 @lru_cache(maxsize=4)
-def _image_lattice(orders: tuple, coefficients: tuple):
+def _image_lattice(orders: tuple, absorption: AbsorptionSet):
     """Per-axis image indices and the reflection amplitude of every image.
 
     Images are ordered by wall parity (px, py, pz), then by the lattice index
     (nx, ny, nz), each lexicographically. Neither depends on source or
     microphone positions, so moving-source renders reuse them.
     """
-    beta = np.sqrt(1.0 - np.asarray(coefficients, dtype=np.float64))
+    beta = absorption.reflection_factors
     ax = [np.arange(-orders[k], orders[k] + 1, dtype=np.int64) for k in range(3)]
     parities = np.array([[px, py, pz] for px in (0, 1) for py in (0, 1) for pz in (0, 1)])
     grid = np.stack(np.meshgrid(ax[0], ax[1], ax[2], indexing="ij"), axis=-1).reshape(-1, 3)
@@ -323,7 +325,7 @@ def compute_rirs(room_dims, absorption: AbsorptionSet, sources, mic_pos,
 
     max_dist = (n_samples + FRAC_DELAY_TAPS) / fs * SPEED_OF_SOUND
     orders = np.ceil(max_dist[:, None] / (2.0 * dims)).astype(np.int64).max(axis=0)
-    axes, refl_amps = _image_lattice(tuple(orders.tolist()), tuple(absorption.coefficients))
+    axes, refl_amps = _image_lattice(tuple(orders.tolist()), absorption)
 
     # an image's coordinate on axis k is (1 - 2 p) src_k + 2 n L_k; square its
     # offset from each mic per axis, shape (P, M, parity, n), then sum the

@@ -93,7 +93,11 @@ def _cmd_parse_captions(args) -> int:
 
 
 def _cmd_render_scene(args) -> int:
-    scene = SceneSpec.from_json(Path(args.scene).read_text())
+    try:
+        scene = SceneSpec.from_json(Path(args.scene).read_text())
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rng = SeededRng(args.seed)
     clips = []
     for i, path in enumerate(args.audio):

@@ -131,26 +131,23 @@ def gcc_phat(frame_left, frame_right, fs: int, max_lag_s: float = MAX_LAG_S,
 # ---------------------------------------------------------------------------
 # Windowed series
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class TdoaWindow:
-    start_s: float
-    tdoa_s: float
-    valid: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TdoaSeries:
-    windows: tuple[TdoaWindow, ...]
+    """Per-window start time (s), TDOA (s, 0 where invalid) and gate flag."""
+
+    windows: np.ndarray
+    tdoa_s: np.ndarray
+    valid: np.ndarray
     window_s: float = TDOA_WINDOW_S
     # one row per valid window: 64 correlogram lags, 8 + 8 log band energies
-    features: np.ndarray | None = field(default=None, repr=False, compare=False)
+    features: np.ndarray | None = field(default=None, repr=False)
 
     def valid_values(self) -> np.ndarray:
-        return np.array([w.tdoa_s for w in self.windows if w.valid])
+        return self.tdoa_s[self.valid]
 
     @property
     def n_valid(self) -> int:
-        return sum(1 for w in self.windows if w.valid)
+        return int(np.count_nonzero(self.valid))
 
     def mean_tdoa_ms(self) -> float | None:
         vals = self.valid_values()
@@ -228,9 +225,8 @@ def tdoa_series(stereo: AudioBuffer) -> TdoaSeries:
     features = np.concatenate(
         [corr, _log_band_energies(seg_l, fs), _log_band_energies(seg_r, fs)], axis=1)
 
-    starts = (np.arange(n_win) * win / fs).tolist()
-    windows = tuple(map(TdoaWindow, starts, tdoa.tolist(), valid.tolist()))
-    return TdoaSeries(windows=windows, features=features)
+    return TdoaSeries(windows=np.arange(n_win) * win / fs, tdoa_s=tdoa, valid=valid,
+                      features=features)
 
 
 # ---------------------------------------------------------------------------

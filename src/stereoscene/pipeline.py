@@ -467,11 +467,11 @@ def _wav_paths(dir_or_index) -> dict[str, Path]:
 
 
 def _finite_series(path) -> metrics.TdoaSeries | None:
-    """The clip's TDOA series, or None when the clip is unreadable or has
-    non-finite samples."""
+    """The clip's TDOA series, or None when the clip is missing, unreadable or
+    has non-finite samples."""
     try:
         buf = read_wav(path)
-    except AudioFormatError:
+    except (OSError, AudioFormatError):
         return None
     if not np.all(np.isfinite(buf.data)):
         return None
@@ -502,15 +502,15 @@ def evaluate(gen_dir, ref_dir_or_index,
     ``metrics.tdoa_series``; its window features give the embedding for
     every Frechet distance. A pair whose generated or reference clip has
     non-finite samples is scored like an unpaired clip: left out of every
-    score and listed in ``skipped``; so is a pair with an unreadable WAV. With
-    ``external_embeddings`` = (gen_dir, ref_dir) of .bin/.json files, the
-    Frechet distance additionally uses those vectors (``crw_mae`` appears
-    when sidecars carry ``mean_tdoa_ms``).
+    score and listed in ``skipped``; so is a pair with a missing or unreadable
+    WAV. With ``external_embeddings`` = (gen_dir, ref_dir) of .bin/.json
+    files, the Frechet distance additionally uses those vectors (``crw_mae``
+    appears when sidecars carry ``mean_tdoa_ms``).
     """
     gen = _wav_paths(gen_dir)
     ref = _wav_paths(ref_dir_or_index)
-    # one clip in memory at a time; a pair with an unreadable or non-finite
-    # side is left out of every score, like an unpaired clip
+    # one clip in memory at a time; a pair with a missing, unreadable or
+    # non-finite side is left out of every score, like an unpaired clip
     gen_series, ref_series = {}, {}
     for k in sorted(set(gen) & set(ref)):
         g = _finite_series(gen[k])

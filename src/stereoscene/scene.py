@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -154,30 +154,10 @@ class AttributeRecord:
 
     @staticmethod
     def from_dict(d: dict) -> "AttributeRecord":
-        raw = d.get("sources", [])
-        if not (isinstance(raw, list) and all(isinstance(s, dict) for s in raw)):
-            raise ValidationError("sources must be a list of objects")
-        sources = []
-        for s in raw:
-            sources.append(
-                SourceAttributes(
-                    event=s.get("event", ""),
-                    direction_label=s.get("direction_label"),
-                    direction_degrees=s.get("direction_degrees"),
-                    distance_label=s.get("distance_label"),
-                    movement=s.get("movement", "still"),
-                    speed_label=s.get("speed_label"),
-                    end_direction_label=s.get("end_direction_label"),
-                    end_direction_degrees=s.get("end_direction_degrees"),
-                    end_distance_label=s.get("end_distance_label"),
-                    flags=tuple(s.get("flags", ())),
-                )
-            )
-        return AttributeRecord(
-            scene_size_label=d.get("scene_size"),
-            sources=tuple(sources),
-            flags=tuple(d.get("flags", ())),
-        )
+        kwargs = _json_kwargs(AttributeRecord, d, {"scene_size_label": "scene_size"},
+                              scene_size_label=None)
+        kwargs["sources"] = _json_objects(SourceAttributes, kwargs["sources"])
+        return AttributeRecord(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -295,53 +275,42 @@ class SceneSpec:
         return self.rt60 is None
 
     def to_json(self) -> str:
-        d = {
-            "room_dims": list(self.room_dims),
-            "rt60": self.rt60,
-            "mic_array": {
-                "center": list(self.mic_array.center),
-                "half_spacing": self.mic_array.half_spacing,
-            },
-            "sources": [
-                {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(s).items()}
-                for s in self.sources
-            ],
-            "duration": self.duration,
-            "sample_rate": self.sample_rate,
-        }
-        return json.dumps(d, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "SceneSpec":
-        d = json.loads(text)
-        sources = tuple(
-            SourceSpec(
-                start_pos=tuple(s["start_pos"]),
-                end_pos=tuple(s["end_pos"]),
-                angle=s["angle"],
-                distance=s["distance"],
-                movement=s.get("movement", "still"),
-                end_angle=s.get("end_angle"),
-                end_distance=s.get("end_distance"),
-                speed_ratio=s.get("speed_ratio"),
-                move_start=s.get("move_start", 0.0),
-                move_interval=s.get("move_interval", 0.0),
-                instant_time=s.get("instant_time"),
-                audio_ref=s.get("audio_ref", ""),
-            )
-            for s in d["sources"]
-        )
-        return SceneSpec(
-            room_dims=tuple(d["room_dims"]),
-            rt60=d.get("rt60"),
-            mic_array=MicArray(
-                center=tuple(d["mic_array"]["center"]),
-                half_spacing=d["mic_array"]["half_spacing"],
-            ),
-            sources=sources,
-            duration=d.get("duration", 10.0),
-            sample_rate=d.get("sample_rate", 16000),
-        )
+        kwargs = _json_kwargs(SceneSpec, json.loads(text), rt60=None)
+        kwargs["mic_array"] = MicArray(**_json_kwargs(MicArray, kwargs["mic_array"]))
+        kwargs["sources"] = _json_objects(SourceSpec, kwargs["sources"])
+        return SceneSpec(**kwargs)
+
+
+def _json_kwargs(cls, obj, renames=None, **defaults) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from the JSON object ``obj``.
+
+    Arrays become tuples. ``renames`` maps a field name to its JSON key, and
+    ``defaults`` fill fields that ``obj`` may omit although ``cls`` gives
+    them no default. Unknown keys and missing required fields raise
+    ValidationError naming them.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
+    keys = {(renames or {}).get(f.name, f.name): f for f in fields(cls)}
+    problems = [f"unknown field {k!r}" for k in obj if k not in keys]
+    problems += [f"missing field {k!r}" for k, f in keys.items()
+                 if k not in obj and f.name not in defaults and f.default is MISSING]
+    if problems:
+        raise ValidationError(f"{cls.__name__}: {', '.join(problems)}")
+    return {**defaults, **{keys[k].name: tuple(v) if isinstance(v, list) else v
+                           for k, v in obj.items()}}
+
+
+def _json_objects(cls, value) -> tuple:
+    """One ``cls`` per object of a JSON array that ``_json_kwargs`` made a tuple."""
+    if not isinstance(value, tuple):
+        raise ValidationError(f"expected an array of {cls.__name__} objects, "
+                              f"got {type(value).__name__}")
+    return tuple(cls(**_json_kwargs(cls, item)) for item in value)
 
 
 def _inside(pos: np.ndarray, dims: np.ndarray) -> bool:

@@ -198,10 +198,10 @@ def test_moving_source_monotonicity():
 
         itd_begin = geometric_itd_s(scene, src.start_pos)
         itd_end = geometric_itd_s(scene, src.end_pos)
-        pre = [w.tdoa_s for w in series.windows
-               if w.valid and w.start_s + series.window_s <= src.move_start]
-        post = [w.tdoa_s for w in series.windows
-                if w.valid and w.start_s >= src.move_start + src.move_interval]
+        starts = series.windows
+        pre = series.tdoa_s[series.valid & (starts + series.window_s <= src.move_start)].tolist()
+        post = series.tdoa_s[
+            series.valid & (starts >= src.move_start + src.move_interval)].tolist()
         assert pre and post, f"scene {attempts}: no plateau windows"
         assert abs(float(np.mean(pre)) - itd_begin) <= 2 * INTERP_BIN_S, \
             f"scene {attempts}: start endpoint off"

@@ -80,6 +80,15 @@ def test_absorption_set_bounds():
         AbsorptionSet.uniform(1.2)
 
 
+def test_absorption_set_from_list_builds_same_rir():
+    # the set keys the cached image lattice, so a list must work like a tuple
+    def rir(absorption):
+        return compute_rir((5.0, 6.0, 7.0), absorption, (1.0, 2.0, 3.0), (3.0, 3.0, 3.0))
+
+    assert np.array_equal(rir(AbsorptionSet([0.3] * 6)).samples,
+                          rir(AbsorptionSet.uniform(0.3)).samples)
+
+
 # ---------------------------------------------------------------------------
 # direct path
 # ---------------------------------------------------------------------------

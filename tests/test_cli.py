@@ -96,6 +96,16 @@ def test_malformed_nested_attributes_exit_two(tmp_path, capsys):
     assert f"{manifest}:1: " in capsys.readouterr().err
 
 
+def test_unknown_attribute_key_exit_two(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"id": "a", "audio": "x.wav", "attributes": {"sources": '
+                        '[{"event": "a dog", "direction": "left"}]}}\n')
+    assert main(["synthesize", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}:1: " in err and "'direction'" in err
+
+
 def test_validate_flags_tampering_exit_one(workspace, tmp_path):
     root, _, manifest = workspace
     out = tmp_path / "ds"
@@ -159,6 +169,24 @@ def test_render_scene_unreadable_audio_exits_two(workspace, tmp_path, capsys, de
                  "--out", str(tmp_path / "out.wav")]) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and defect in err
+    assert not (tmp_path / "out.wav").exists()
+
+
+@pytest.mark.parametrize("defect", ["not an object", "missing field", "unknown field"])
+def test_render_scene_malformed_scene_exits_two(workspace, tmp_path, capsys, defect):
+    _, clip, _ = workspace
+    scene = json.loads(sample_scene(parse_caption("A dog barks on the left, outdoors."),
+                                    SeededRng(1)).to_json())
+    scene["sources"][0]["loudness"] = 3.0
+    text, named = {"not an object": ("[1, 2]", "JSON object"),
+                   "missing field": ("{}", "'sources'"),
+                   "unknown field": (json.dumps(scene), "'loudness'")}[defect]
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(text)
+    assert main(["render-scene", "--scene", str(scene_path), "--audio", str(clip),
+                 "--out", str(tmp_path / "out.wav")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
     assert not (tmp_path / "out.wav").exists()
 
 

@@ -19,7 +19,6 @@ from stereoscene.metrics import (
     EmbeddingStats,
     MetricError,
     TdoaSeries,
-    TdoaWindow,
     default_embed,
     frechet_distance,
     gcc_ma,
@@ -146,7 +145,7 @@ def test_partial_silence_gating():
     x[:80000, 0] = rng.standard_normal(80000) * 0.5
     x[:80000, 1] = x[:80000, 0]
     series = tdoa_series(AudioBuffer(x, 16000))
-    valid_flags = [w.valid for w in series.windows]
+    valid_flags = series.valid.tolist()
     assert all(valid_flags[:50]) and not any(valid_flags[50:])
 
 
@@ -158,7 +157,7 @@ def test_dead_channel_windows_invalid():
     x[:, 0] = rng.standard_normal(160000) * 0.5
     x[80000:, 1] = x[80000:, 0]
     series = tdoa_series(AudioBuffer(x, 16000))
-    assert [w.valid for w in series.windows] == [False] * 50 + [True] * 50
+    assert series.valid.tolist() == [False] * 50 + [True] * 50
     assert series.features.shape[0] == 50
     dead = tdoa_series(AudioBuffer(x[:80000], 16000))
     assert dead.n_valid == 0 and dead.mean_tdoa_ms() is None
@@ -210,9 +209,8 @@ def test_series_matches_per_window_gcc_phat_bit_for_bit():
     for kind, stereo in _clip_kinds():
         series = tdoa_series(stereo)
         tdoas, feats = _per_window_reference(stereo)
-        assert [w.valid for w in series.windows] == [t is not None for t in tdoas], kind
-        assert [w.tdoa_s for w in series.windows if w.valid] == \
-            [t for t in tdoas if t is not None], kind
+        assert series.valid.tolist() == [t is not None for t in tdoas], kind
+        assert series.valid_values().tolist() == [t for t in tdoas if t is not None], kind
         assert 0 < series.n_valid, kind
         np.testing.assert_allclose(series.features, feats, rtol=0, atol=1e-12, err_msg=kind)
 
@@ -265,7 +263,7 @@ from test_metrics import _clip_kinds
 out = {}
 for kind, stereo in _clip_kinds():
     series = tdoa_series(stereo)
-    out[kind] = [w.tdoa_s if w.valid else None for w in series.windows]
+    out[kind] = [t if v else None for t, v in zip(series.tdoa_s.tolist(), series.valid)]
     np.save(sys.argv[1] + "/" + kind + ".npy", series.features)
 print(json.dumps(out))
 """
@@ -283,7 +281,8 @@ def test_series_on_one_blas_thread_matches_in_process(tmp_path):
     one_thread = json.loads(proc.stdout.strip().splitlines()[-1])
     for kind, stereo in _clip_kinds():
         series = tdoa_series(stereo)
-        assert one_thread[kind] == [w.tdoa_s if w.valid else None for w in series.windows], kind
+        assert one_thread[kind] == [t if v else None for t, v in
+                                    zip(series.tdoa_s.tolist(), series.valid)], kind
         feats = np.load(tmp_path / f"{kind}.npy")
         assert feats.shape == series.features.shape, kind
         assert np.max(np.abs(feats - series.features)) <= 1e-13, kind
@@ -324,9 +323,8 @@ def test_correlation_matches_zero_padded_irfft(interp, max_lag_s, frame):
 # aggregates
 # ---------------------------------------------------------------------------
 def _const_series(tdoa_s, n=10):
-    return TdoaSeries(windows=tuple(
-        TdoaWindow(start_s=i * 0.1, tdoa_s=tdoa_s, valid=True) for i in range(n)
-    ))
+    return TdoaSeries(windows=np.arange(n) * 0.1, tdoa_s=np.full(n, tdoa_s),
+                      valid=np.ones(n, dtype=bool))
 
 
 def test_gcc_mae_self_zero():
@@ -343,7 +341,7 @@ def test_gcc_mae_hand_value():
 
 
 def test_gcc_mae_skips_gated_pairs():
-    empty = TdoaSeries(windows=(TdoaWindow(0.0, 0.0, False),))
+    empty = TdoaSeries(windows=np.zeros(1), tdoa_s=np.zeros(1), valid=np.zeros(1, dtype=bool))
     gen = {"a": _const_series(0.0001), "b": empty}
     ref = {"a": _const_series(0.0001), "b": _const_series(0.0)}
     score, rows, skipped = gcc_mae(gen, ref)

@@ -100,8 +100,10 @@ def test_synthesize_rejects_duplicate_ids_before_writing(tmp_path, clip_dir):
     '{"id": "a", "audio": "x.wav", "attributes": {"scene_size": "small", "sources": "ab"}}',
     '{"id": "a", "audio": "x.wav", "caption": "A dog barks.", "seed": "abc"}',
     '{"id": "a", "audio": "x.wav", "caption": 5}',
+    '{"id": "a", "audio": "x.wav", "attributes": {"sources": '
+    '[{"event": "a dog", "direction": "left"}]}}',
 ], ids=["audio-int", "attributes-str", "non-object", "sources-int-item", "sources-str",
-        "seed-str", "caption-int"])
+        "seed-str", "caption-int", "unknown-attribute"])
 def test_malformed_manifest_line_names_path_and_line(tmp_path, line):
     path = tmp_path / "m.jsonl"
     path.write_text('{"id": "ok", "audio": "x.wav", "caption": "A dog barks."}\n' + line + "\n")
@@ -426,6 +428,19 @@ def test_evaluate_unpaired_reported(synthesized, tmp_path):
         shutil.copy(out / row["wav"], partial / row["wav"])
     report = evaluate(out, partial)
     assert set(report.skipped) == {r["id"] for r in index.rows[3:]}
+
+
+def test_evaluate_skips_missing_reference_wav(synthesized, tmp_path):
+    # the reference index lists three clips; the third one's WAV is gone
+    out, index = synthesized
+    rows = index.rows[:3]
+    for row in rows[:2]:
+        (tmp_path / row["wav"]).write_bytes((out / row["wav"]).read_bytes())
+    DatasetIndex(rows=rows).save(tmp_path / "index.jsonl")
+    report = evaluate(out, tmp_path / "index.jsonl")
+    assert rows[2]["id"] in report.skipped
+    assert set(report.skipped) == {r["id"] for r in index.rows[2:]}
+    assert report.gcc_mae == 0.0
 
 
 def _evaluate_with_one_bad_clip(synthesized, tmp_path, side, damage):

@@ -173,8 +173,8 @@ def test_instant_jump_two_plateaus(noise_clip):
     scene = open_field_scene([src])
     out = rms_normalize(render_moving(noise_clip, scene, src))
     series = tdoa_series(out)
-    before = [w.tdoa_s for w in series.windows if w.valid and w.start_s < 4.8]
-    after = [w.tdoa_s for w in series.windows if w.valid and w.start_s > 5.1]
+    before = series.tdoa_s[series.valid & (series.windows < 4.8)].tolist()
+    after = series.tdoa_s[series.valid & (series.windows > 5.1)].tolist()
     assert len(set(np.round(before, 7))) == 1
     assert len(set(np.round(after, 7))) == 1
     assert abs(before[0] - geometric_itd_s(scene, src.start_pos)) < 1e-5

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,6 +21,7 @@ from stereoscene.scene import (
     ValidationError,
     build_trajectory,
     max_source_distance,
+    resolve_attributes,
     sample_mic_array,
     sample_room,
     sample_scene,
@@ -325,6 +329,116 @@ def test_scene_json_roundtrip():
     scene = sample_scene(_record(movement="moving", speed="fast"), SeededRng(13))
     again = SceneSpec.from_json(scene.to_json())
     assert again == scene
+
+
+def _field_by_field_to_json(scene: SceneSpec) -> str:
+    # the scene writer as it was before the JSON came from the dataclass fields
+    d = {
+        "room_dims": list(scene.room_dims),
+        "rt60": scene.rt60,
+        "mic_array": {
+            "center": list(scene.mic_array.center),
+            "half_spacing": scene.mic_array.half_spacing,
+        },
+        "sources": [
+            {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(s).items()}
+            for s in scene.sources
+        ],
+        "duration": scene.duration,
+        "sample_rate": scene.sample_rate,
+    }
+    return json.dumps(d, indent=2, sort_keys=True)
+
+
+def _field_by_field_from_json(text: str) -> SceneSpec:
+    # the scene reader as it was before the JSON came from the dataclass fields
+    d = json.loads(text)
+    sources = tuple(
+        SourceSpec(
+            start_pos=tuple(s["start_pos"]),
+            end_pos=tuple(s["end_pos"]),
+            angle=s["angle"],
+            distance=s["distance"],
+            movement=s.get("movement", "still"),
+            end_angle=s.get("end_angle"),
+            end_distance=s.get("end_distance"),
+            speed_ratio=s.get("speed_ratio"),
+            move_start=s.get("move_start", 0.0),
+            move_interval=s.get("move_interval", 0.0),
+            instant_time=s.get("instant_time"),
+            audio_ref=s.get("audio_ref", ""),
+        )
+        for s in d["sources"]
+    )
+    return SceneSpec(
+        room_dims=tuple(d["room_dims"]),
+        rt60=d.get("rt60"),
+        mic_array=MicArray(
+            center=tuple(d["mic_array"]["center"]),
+            half_spacing=d["mic_array"]["half_spacing"],
+        ),
+        sources=sources,
+        duration=d.get("duration", 10.0),
+        sample_rate=d.get("sample_rate", 16000),
+    )
+
+
+def test_scene_and_attribute_json_match_field_by_field_reference():
+    rng = SeededRng(29)
+    speeds = {"still": None, "moving": "slow", "instant": "instant"}
+    checked = 0
+    for size in SIZE_RANGES:
+        for movement, speed in speeds.items():
+            for i in range(5):
+                src = SourceAttributes(
+                    event=f"clip{i}", movement=movement, speed_label=speed,
+                    direction_label=None if i % 2 else DIRECTION_LABELS[i],
+                    direction_degrees=30.0 * i if i % 2 else None,
+                    flags=("direction_unspecified",) if i == 4 else ())
+                record = AttributeRecord(scene_size_label=size, sources=(src,) * (1 + i % 2),
+                                         flags=("from_caption",) if i % 3 == 0 else ())
+                srng = rng.child(f"{size}-{movement}-{i}")
+                for r in (record, resolve_attributes(record, srng)):
+                    assert AttributeRecord.from_dict(r.to_dict()) == r
+                    assert AttributeRecord.from_dict(json.loads(json.dumps(r.to_dict()))) == r
+                scene = sample_scene(record, srng)
+                text = scene.to_json()
+                assert text == _field_by_field_to_json(scene)
+                assert SceneSpec.from_json(text) == scene
+                assert _field_by_field_from_json(text) == scene
+                checked += 1
+    assert checked == 60
+
+
+def test_scene_json_refuses_unknown_and_missing_fields():
+    scene = json.loads(sample_scene(_record(), SeededRng(3)).to_json())
+    del scene["rt60"], scene["duration"], scene["sample_rate"]
+    for key in ("movement", "end_angle", "move_start", "audio_ref"):
+        del scene["sources"][0][key]
+    loaded = SceneSpec.from_json(json.dumps(scene))
+    assert loaded.rt60 is None and loaded.duration == 10.0 and loaded.sample_rate == 16000
+    assert loaded == _field_by_field_from_json(json.dumps(scene))
+    scene["sources"][0]["loudness"] = 1.0
+    with pytest.raises(ValidationError, match="SourceSpec: unknown field 'loudness'"):
+        SceneSpec.from_json(json.dumps(scene))
+    del scene["sources"][0]["loudness"], scene["mic_array"]["half_spacing"]
+    with pytest.raises(ValidationError, match="MicArray: missing field 'half_spacing'"):
+        SceneSpec.from_json(json.dumps(scene))
+    with pytest.raises(ValidationError, match="SceneSpec: missing field 'room_dims'"):
+        SceneSpec.from_json("{}")
+    with pytest.raises(ValidationError, match="must be a JSON object"):
+        SceneSpec.from_json("[]")
+
+
+def test_attribute_record_refuses_unknown_keys():
+    src = {"event": "a dog", "direction": "left"}
+    with pytest.raises(ValidationError, match="SourceAttributes: unknown field 'direction'"):
+        AttributeRecord.from_dict({"sources": [src]})
+    with pytest.raises(ValidationError, match="unknown field 'scene_size_label'"):
+        AttributeRecord.from_dict({"scene_size_label": "small", "sources": [{"event": "x"}]})
+    record = AttributeRecord.from_dict({"sources": [{"event": "a dog"}]})
+    assert record == AttributeRecord(scene_size_label=None,
+                                     sources=(SourceAttributes(event="a dog"),))
 
 
 def test_scene_rejects_outside_source():

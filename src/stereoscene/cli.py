@@ -11,8 +11,8 @@ from pathlib import Path
 from . import captions as cap
 from . import metrics, pipeline
 from .audio_io import AudioBuffer, AudioFormatError, read_wav, write_wav
-from .acoustics import stereo_rir_for
-from .render import crop_pad, mix_scene, render_moving
+from .acoustics import AcousticsError, stereo_rir_for
+from .render import RenderError, crop_pad, mix_scene, render_moving
 from .rng import SeededRng
 from .scene import SceneSpec
 
@@ -73,12 +73,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_parse_captions(args) -> int:
-    if args.input == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        lines = Path(args.input).read_text().splitlines()
+    try:
+        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     status = 0
-    for line in lines:
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
@@ -99,19 +100,15 @@ def _cmd_render_scene(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rng = SeededRng(args.seed)
-    clips = []
-    for i, path in enumerate(args.audio):
-        try:
-            clip = read_wav(path).mono().resample(scene.sample_rate)
-        except (OSError, AudioFormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        clips.append(crop_pad(clip, rng.child(f"crop{i}"), target_s=scene.duration))
-    rendered = [
-        render_moving(clips[i % len(clips)], scene, src)
-        for i, src in enumerate(scene.sources)
-    ]
-    mix = mix_scene(rendered)
+    try:
+        clips = [crop_pad(read_wav(path).mono().resample(scene.sample_rate),
+                          rng.child(f"crop{i}"), target_s=scene.duration)
+                 for i, path in enumerate(args.audio)]
+        mix = mix_scene([render_moving(clips[i % len(clips)], scene, src)
+                         for i, src in enumerate(scene.sources)])
+    except (OSError, AudioFormatError, AcousticsError, RenderError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     write_wav(args.out, mix.audio, pcm16=args.pcm16)
     print(f"wrote {args.out}")
     if args.export_rir:

@@ -23,7 +23,7 @@ from .audio_io import AudioBuffer, AudioFormatError, read_wav, read_wav_info, wr
 from .render import crop_pad, mix_scene, render_moving
 from .rng import SeededRng, entry_seed
 from .scene import AttributeRecord, SceneSpec, resolve_attributes, sample_scene
-from .scene import ValidationError
+from .scene import ValidationError, _json_kwargs
 
 SUBSETS = ("SS", "DS", "SD", "M")
 SUBSET_SOURCE_COUNTS = {"SS": (1, 1), "DS": (2, 2), "SD": (1, 1), "M": (1, 4)}
@@ -63,30 +63,10 @@ class ManifestEntry:
 
     @staticmethod
     def from_dict(d: dict) -> "ManifestEntry":
-        if not isinstance(d, dict):
-            raise ManifestError(f"entry must be a JSON object, got {type(d).__name__}")
-        attrs = d.get("attributes")
-        if attrs and not isinstance(attrs, dict):
-            raise ManifestError(f"attributes must be an object, got {type(attrs).__name__}")
-        paths = d.get("audio")
-        if isinstance(paths, str):
-            paths = [paths]
-        if paths and not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
-            raise ManifestError("audio must be a path or a list of paths")
-        caption = d.get("caption")
-        if caption is not None and not isinstance(caption, str):
-            raise ManifestError(f"caption must be a string, got {type(caption).__name__}")
-        seed = d.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise ManifestError(f"seed must be an integer, got {seed!r}")
-        return ManifestEntry(
-            clip_id=str(d["id"]),
-            audio_paths=tuple(paths or ()),
-            subset=d.get("subset", "SS"),
-            caption=caption,
-            attributes=AttributeRecord.from_dict(attrs) if attrs else None,
-            seed=seed,
-        )
+        if isinstance(d, dict) and isinstance(d.get("audio"), str):
+            d = dict(d, audio=[d["audio"]])  # a string is one path
+        return ManifestEntry(**_json_kwargs(
+            ManifestEntry, d, {"clip_id": "id", "audio_paths": "audio"}, subset="SS"))
 
 
 def read_manifest(path) -> list[ManifestEntry]:
@@ -98,7 +78,7 @@ def read_manifest(path) -> list[ManifestEntry]:
             continue
         try:
             entry = ManifestEntry.from_dict(json.loads(line))
-        except (json.JSONDecodeError, KeyError, ManifestError, ValidationError) as exc:
+        except (json.JSONDecodeError, ManifestError, ValidationError) as exc:
             raise ManifestError(f"{path}:{line_no}: {exc}") from exc
         if entry.clip_id in seen:
             raise ManifestError(f"{path}:{line_no}: duplicate clip id {entry.clip_id!r}")

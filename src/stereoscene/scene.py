@@ -11,9 +11,12 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -154,10 +157,9 @@ class AttributeRecord:
 
     @staticmethod
     def from_dict(d: dict) -> "AttributeRecord":
-        kwargs = _json_kwargs(AttributeRecord, d, {"scene_size_label": "scene_size"},
-                              scene_size_label=None)
-        kwargs["sources"] = _json_objects(SourceAttributes, kwargs["sources"])
-        return AttributeRecord(**kwargs)
+        return AttributeRecord(**_json_kwargs(AttributeRecord, d,
+                                              {"scene_size_label": "scene_size"},
+                                              scene_size_label=None))
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +281,19 @@ class SceneSpec:
 
     @staticmethod
     def from_json(text: str) -> "SceneSpec":
-        kwargs = _json_kwargs(SceneSpec, json.loads(text), rt60=None)
-        kwargs["mic_array"] = MicArray(**_json_kwargs(MicArray, kwargs["mic_array"]))
-        kwargs["sources"] = _json_objects(SourceSpec, kwargs["sources"])
-        return SceneSpec(**kwargs)
+        return SceneSpec(**_json_kwargs(SceneSpec, json.loads(text), rt60=None))
+
+
+_type_hints = functools.cache(get_type_hints)
 
 
 def _json_kwargs(cls, obj, renames=None, **defaults) -> dict:
     """Keyword arguments for the dataclass ``cls`` from the JSON object ``obj``.
 
-    Arrays become tuples. ``renames`` maps a field name to its JSON key, and
-    ``defaults`` fill fields that ``obj`` may omit although ``cls`` gives
-    them no default. Unknown keys and missing required fields raise
-    ValidationError naming them.
+    ``renames`` maps a field name to its JSON key, and ``defaults`` fill
+    fields that ``obj`` may omit although ``cls`` gives them no default.
+    Unknown keys, missing required fields and values that do not fit their
+    field's annotation raise ValidationError naming them.
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
@@ -301,16 +303,34 @@ def _json_kwargs(cls, obj, renames=None, **defaults) -> dict:
                  if k not in obj and f.name not in defaults and f.default is MISSING]
     if problems:
         raise ValidationError(f"{cls.__name__}: {', '.join(problems)}")
-    return {**defaults, **{keys[k].name: tuple(v) if isinstance(v, list) else v
+    hints = _type_hints(cls)
+    return {**defaults, **{keys[k].name: _json_value(hints[keys[k].name], v, f"{cls.__name__}.{k}")
                            for k, v in obj.items()}}
 
 
-def _json_objects(cls, value) -> tuple:
-    """One ``cls`` per object of a JSON array that ``_json_kwargs`` made a tuple."""
-    if not isinstance(value, tuple):
-        raise ValidationError(f"expected an array of {cls.__name__} objects, "
-                              f"got {type(value).__name__}")
-    return tuple(cls(**_json_kwargs(cls, item)) for item in value)
+def _json_value(hint, value, where: str):
+    """``value`` checked against the annotation ``hint``: str, int (not bool),
+    a number a float64 holds (an int is kept as given), ``X | None``, a tuple of
+    fixed or ``...`` length, or a dataclass (read by its ``from_dict`` if any)."""
+    args = get_args(hint)
+    if type(None) in args:
+        return None if value is None else _json_value(args[0], value, where)
+    if get_origin(hint) is tuple:
+        fixed = args[-1] is not ...
+        if not isinstance(value, (list, tuple)) or (fixed and len(value) != len(args)):
+            raise ValidationError(f"{where}: expected {hint}, got {value!r:.40}")
+        return tuple(_json_value(args[i] if fixed else args[0], v, where)
+                     for i, v in enumerate(value))
+    if is_dataclass(hint):
+        try:
+            return hint.from_dict(value) if hasattr(hint, "from_dict") else \
+                hint(**_json_kwargs(hint, value))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
+    if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint) \
+            or (hint is float and not abs(value) <= sys.float_info.max):
+        raise ValidationError(f"{where}: expected {hint.__name__}, got {value!r:.40}")
+    return value
 
 
 def _inside(pos: np.ndarray, dims: np.ndarray) -> bool:

@@ -134,6 +134,14 @@ def test_parse_captions_reports_errors(tmp_path, capsys):
     assert "error" in lines[1]
 
 
+def test_parse_captions_missing_input_exits_two(tmp_path, capsys):
+    missing = tmp_path / "captions.txt"
+    assert main(["parse-captions", "--input", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(missing) in captured.err
+    assert captured.out == ""
+
+
 def test_render_scene_with_rir_export(workspace, tmp_path, capsys):
     root, clip, manifest = workspace
     out_dir = root / "ds"
@@ -172,15 +180,29 @@ def test_render_scene_unreadable_audio_exits_two(workspace, tmp_path, capsys, de
     assert not (tmp_path / "out.wav").exists()
 
 
-@pytest.mark.parametrize("defect", ["not an object", "missing field", "unknown field"])
+@pytest.mark.parametrize("defect", ["not an object", "missing field", "unknown field",
+                                    "string angle", "two room dims", "NaN",
+                                    "source on a capsule"])
 def test_render_scene_malformed_scene_exits_two(workspace, tmp_path, capsys, defect):
     _, clip, _ = workspace
     scene = json.loads(sample_scene(parse_caption("A dog barks on the left, outdoors."),
                                     SeededRng(1)).to_json())
-    scene["sources"][0]["loudness"] = 3.0
-    text, named = {"not an object": ("[1, 2]", "JSON object"),
-                   "missing field": ("{}", "'sources'"),
-                   "unknown field": (json.dumps(scene), "'loudness'")}[defect]
+    center, half = scene["mic_array"]["center"], scene["mic_array"]["half_spacing"]
+    capsule = [center[0], center[1] - half, center[2]]
+
+    def edited(**source):
+        return json.dumps(dict(scene, sources=[dict(scene["sources"][0], **source)]))
+
+    text, named = {
+        "not an object": ("[1, 2]", "JSON object"),
+        "missing field": ("{}", "'sources'"),
+        "unknown field": (edited(loudness=3.0), "'loudness'"),
+        "string angle": (edited(angle="90"), "SourceSpec.angle"),
+        "two room dims": (json.dumps(dict(scene, room_dims=[1, 2])), "SceneSpec.room_dims"),
+        "NaN": (edited(movement="moving", move_interval=float("nan")),
+                "SourceSpec.move_interval"),
+        "source on a capsule": (edited(start_pos=capsule, end_pos=capsule), "coincide"),
+    }[defect]
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(text)
     assert main(["render-scene", "--scene", str(scene_path), "--audio", str(clip),

@@ -102,8 +102,13 @@ def test_synthesize_rejects_duplicate_ids_before_writing(tmp_path, clip_dir):
     '{"id": "a", "audio": "x.wav", "caption": 5}',
     '{"id": "a", "audio": "x.wav", "attributes": {"sources": '
     '[{"event": "a dog", "direction": "left"}]}}',
+    '{"id": "a", "audio": "x.wav", "caption": "A dog barks.", "subet": "SD", "sed": 3}',
+    '{"id": 7, "audio": "x.wav", "caption": "A dog barks."}',
+    '{"id": "a", "audio": "x.wav", "caption": "A dog barks.", "attributes": {}}',
+    '{"id": "a", "audio": "x.wav", "caption": "A dog barks.", "attributes": []}',
 ], ids=["audio-int", "attributes-str", "non-object", "sources-int-item", "sources-str",
-        "seed-str", "caption-int", "unknown-attribute"])
+        "seed-str", "caption-int", "unknown-attribute", "unknown-key", "id-int",
+        "attributes-empty-object", "attributes-empty-array"])
 def test_malformed_manifest_line_names_path_and_line(tmp_path, line):
     path = tmp_path / "m.jsonl"
     path.write_text('{"id": "ok", "audio": "x.wav", "caption": "A dog barks."}\n' + line + "\n")

@@ -1,8 +1,10 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stereoscene.rng import SeededRng
@@ -428,6 +430,37 @@ def test_scene_json_refuses_unknown_and_missing_fields():
         SceneSpec.from_json("{}")
     with pytest.raises(ValidationError, match="must be a JSON object"):
         SceneSpec.from_json("[]")
+
+
+_WRONG_JSON_VALUES = {"string": "90", "bool": True, "wrong-length array": [1.0, 2.0],
+                      "NaN": float("nan"), "object": {"value": 1.0}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16), size=st.sampled_from(sorted(SIZE_RANGES)),
+       movement=st.sampled_from(("still", "moving", "instant")), data=st.data())
+def test_scene_json_names_any_mistyped_field(seed, size, movement, data):
+    speed = {"still": None, "moving": "fast", "instant": "instant"}[movement]
+    record = replace(_record(movement=movement, speed=speed), scene_size_label=size)
+    doc = json.loads(sample_scene(record, SeededRng(seed)).to_json())
+    owners = {"SceneSpec": doc, "MicArray": doc["mic_array"], "SourceSpec": doc["sources"][0]}
+    owner, key = data.draw(st.sampled_from([(o, k) for o, d in owners.items() for k in d]))
+    kinds = [k for k in _WRONG_JSON_VALUES
+             if not (k == "string" and isinstance(owners[owner][key], str))]
+    owners[owner][key] = _WRONG_JSON_VALUES[data.draw(st.sampled_from(kinds))]
+    with pytest.raises(ValidationError, match=rf"{owner}\.{key}\b"):
+        SceneSpec.from_json(json.dumps(doc))
+
+
+def test_scene_json_float_fields_take_ints_in_float_range():
+    scene = json.loads(sample_scene(_record(), SeededRng(5)).to_json())
+    scene["sources"][0]["angle"], scene["duration"] = 90, 10
+    text = json.dumps(scene)
+    assert SceneSpec.from_json(text) == _field_by_field_from_json(text)
+    assert type(SceneSpec.from_json(text).sources[0].angle) is int
+    scene["room_dims"][0] = 10**400  # no float64 holds it
+    with pytest.raises(ValidationError, match=r"SceneSpec\.room_dims"):
+        SceneSpec.from_json(json.dumps(scene))
 
 
 def test_attribute_record_refuses_unknown_keys():

@@ -20,7 +20,6 @@ from .acoustics import (
     AbsorptionSet,
     RirKernel,
     compute_rir,
-    direct_path_rir,
     eyring_rt60,
     measure_rt60,
     render_static,

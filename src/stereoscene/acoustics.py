@@ -65,6 +65,10 @@ class AbsorptionSet:
         return np.sqrt(1.0 - np.asarray(self.coefficients, dtype=np.float64))
 
 
+# the free field as a room: every reflection factor is 0
+_FREE_FIELD = AbsorptionSet.uniform(1.0)
+
+
 @dataclass(frozen=True)
 class RirKernel:
     """Impulse response, shape (channels, length)."""
@@ -219,49 +223,22 @@ def _place_impulses(lengths: np.ndarray, m: int, rows: np.ndarray, delays: np.nd
             for g, n in enumerate(lengths.tolist())]
 
 
-def _mic_distances(sources: np.ndarray, mics: np.ndarray) -> np.ndarray:
-    """Source-to-microphone distances, shape (P, M); raises on a coincidence."""
-    dists = np.linalg.norm(mics[None, :, :] - sources[:, None, :], axis=2)
+def _lengths(dims, absorption: AbsorptionSet | None, srcs: np.ndarray, mics: np.ndarray,
+             fs: int) -> np.ndarray:
+    """Response samples at each source position of ``srcs`` (P, 3); raises
+    when a source and a microphone coincide.
+
+    Free field (``absorption`` None): up to the last direct impulse. In a
+    room: the nearest direct delay plus 1.3x the Eyring decay time.
+    """
+    dists = np.linalg.norm(mics[None, :, :] - srcs[:, None, :], axis=2)
     if np.any(dists <= 0):
         raise AcousticsError("source and microphone positions coincide")
-    return dists
-
-
-def _default_lengths(dists: np.ndarray, fs: int, decay: float | None) -> np.ndarray:
-    """Response samples per source position from its (P, M) mic distances.
-
-    Anechoic (``decay`` None): up to the last direct impulse. Otherwise the
-    nearest direct delay plus 1.3x the Eyring decay time.
-    """
-    if decay is None:
+    if absorption is None:
         last = np.ceil((dists / SPEED_OF_SOUND * fs).max(axis=1))
         return last.astype(np.int64) + FRAC_DELAY_TAPS
-    length_s = dists.min(axis=1) / SPEED_OF_SOUND + 1.3 * decay
-    return np.round(length_s * fs).astype(np.int64) + FRAC_DELAY_TAPS
-
-
-def direct_path_rir(source_pos, mic_pos, fs: int = 16000,
-                    length_s: float | None = None) -> RirKernel:
-    """Anechoic response: a single 1/(4 pi d) impulse at d / c per mic."""
-    src = np.asarray(source_pos, dtype=np.float64)
-    return direct_path_rirs(src[None, :], mic_pos, fs, length_s)[0]
-
-
-def direct_path_rirs(sources, mic_pos, fs: int = 16000,
-                     length_s: float | None = None) -> list[RirKernel]:
-    """direct_path_rir at each source position of ``sources`` (P, 3), in one pass."""
-    srcs = np.atleast_2d(np.asarray(sources, dtype=np.float64))
-    mics = np.atleast_2d(np.asarray(mic_pos, dtype=np.float64))
-    dists = _mic_distances(srcs, mics)
-    if length_s is None:
-        n_samples = _default_lengths(dists, fs, None)
-    else:
-        n_samples = np.full(srcs.shape[0], int(round(length_s * fs)))
-    amps = 1.0 / (4.0 * np.pi * np.maximum(dists, MIN_SPREAD_DIST))
-    p, m = dists.shape
-    placed = _place_impulses(n_samples, m, np.arange(p * m), (dists / SPEED_OF_SOUND * fs).ravel(),
-                             amps.ravel(), np.full(p, m))
-    return [RirKernel(samples=h, sample_rate=fs) for h in placed]
+    end_s = dists.min(axis=1) / SPEED_OF_SOUND + 1.3 * eyring_rt60(absorption, dims)
+    return np.round(end_s * fs).astype(np.int64) + FRAC_DELAY_TAPS
 
 
 @lru_cache(maxsize=4)
@@ -288,22 +265,23 @@ def _image_lattice(orders: tuple, absorption: AbsorptionSet):
     return ax, np.concatenate(refl_amps)
 
 
-def compute_rir(room_dims, absorption: AbsorptionSet, source_pos, mic_pos,
-                fs: int = 16000, length_s: float | None = None) -> RirKernel:
+def compute_rir(room_dims, absorption: AbsorptionSet | None, source_pos, mic_pos,
+                fs: int = 16000) -> RirKernel:
     """Image-source impulse response for a shoebox room.
 
     ``mic_pos`` may be one position (3,) or several (M, 3). The response
-    length defaults to direct delay + 1.3x the Eyring decay estimate, and the
+    length is the direct delay + 1.3x the Eyring decay estimate, and the
     image grid extends exactly far enough that every image able to land in
     that buffer is included (image energy beyond it is below -60 dB by the
-    Eyring estimate).
+    Eyring estimate). ``absorption`` None is the free field: only the direct
+    image sounds, and the response ends with the last direct impulse.
     """
     src = np.asarray(source_pos, dtype=np.float64)
-    return compute_rirs(room_dims, absorption, src[None, :], mic_pos, fs, length_s)[0]
+    return compute_rirs(room_dims, absorption, src[None, :], mic_pos, fs)[0]
 
 
-def compute_rirs(room_dims, absorption: AbsorptionSet, sources, mic_pos,
-                 fs: int = 16000, length_s: float | None = None) -> list[RirKernel]:
+def compute_rirs(room_dims, absorption: AbsorptionSet | None, sources, mic_pos,
+                 fs: int = 16000) -> list[RirKernel]:
     """compute_rir at each source position of ``sources`` (P, 3), in one pass.
 
     Each response is bit-identical to the one built for its position alone:
@@ -317,15 +295,13 @@ def compute_rirs(room_dims, absorption: AbsorptionSet, sources, mic_pos,
     mics = np.atleast_2d(np.asarray(mic_pos, dtype=np.float64))
     if np.any(srcs <= 0) or np.any(srcs >= dims):
         raise AcousticsError("source must be strictly inside the room")
-    dists = _mic_distances(srcs, mics)
-    if length_s is None:
-        n_samples = _default_lengths(dists, fs, eyring_rt60(absorption, dims))
-    else:
-        n_samples = np.full(srcs.shape[0], int(round(length_s * fs)) + FRAC_DELAY_TAPS)
-
+    n_samples = _lengths(dims, absorption, srcs, mics, fs)
     max_dist = (n_samples + FRAC_DELAY_TAPS) / fs * SPEED_OF_SOUND
-    orders = np.ceil(max_dist[:, None] / (2.0 * dims)).astype(np.int64).max(axis=0)
-    axes, refl_amps = _image_lattice(tuple(orders.tolist()), absorption)
+    if absorption is None:  # every image but the direct one is silent
+        axes, refl_amps = _image_lattice((0, 0, 0), _FREE_FIELD)
+    else:
+        orders = np.ceil(max_dist[:, None] / (2.0 * dims)).astype(np.int64).max(axis=0)
+        axes, refl_amps = _image_lattice(tuple(orders.tolist()), absorption)
 
     # an image's coordinate on axis k is (1 - 2 p) src_k + 2 n L_k; square its
     # offset from each mic per axis, shape (P, M, parity, n), then sum the
@@ -433,24 +409,22 @@ def stereo_rir_for(scene, source_pos) -> RirKernel:
     return stereo_rirs_for(scene, np.asarray(source_pos)[None, :])[0]
 
 
+def _scene_absorption(scene) -> AbsorptionSet | None:
+    return None if scene.anechoic else rt60_to_absorption(scene.rt60, scene.room_dims)
+
+
 def stereo_rirs_for(scene, positions) -> list[RirKernel]:
     """stereo_rir_for at each of ``positions`` (P, 3), bit for bit, in one batch."""
-    mics = _stereo_mics(scene)
-    if scene.anechoic:
-        return direct_path_rirs(positions, mics, scene.sample_rate)
-    absorption = rt60_to_absorption(scene.rt60, scene.room_dims)
-    return compute_rirs(scene.room_dims, absorption, positions, mics, fs=scene.sample_rate)
+    return compute_rirs(scene.room_dims, _scene_absorption(scene), positions,
+                        _stereo_mics(scene), scene.sample_rate)
 
 
 def stereo_rir_lengths(scene, positions) -> np.ndarray:
     """Samples in the stereo_rir_for response at each of ``positions`` (P, 3),
     without building it."""
-    dists = _mic_distances(np.atleast_2d(np.asarray(positions, dtype=np.float64)),
-                           _stereo_mics(scene))
-    decay = None
-    if not scene.anechoic:
-        decay = eyring_rt60(rt60_to_absorption(scene.rt60, scene.room_dims), scene.room_dims)
-    return _default_lengths(dists, scene.sample_rate, decay)
+    return _lengths(scene.room_dims, _scene_absorption(scene),
+                    np.atleast_2d(np.asarray(positions, dtype=np.float64)),
+                    _stereo_mics(scene), scene.sample_rate)
 
 
 def schroeder_decay_db(rir: np.ndarray) -> np.ndarray:

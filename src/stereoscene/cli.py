@@ -36,10 +36,21 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
+def _save_report(report, path) -> bool:
+    """Write ``report`` as JSON to ``path``, if given; False after a failed write."""
+    if path:
+        try:
+            Path(path).write_text(report.to_json())
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return False
+    return True
+
+
 def _cmd_validate(args) -> int:
     report = pipeline.validate(args.dataset)
-    if args.out_json:
-        Path(args.out_json).write_text(report.to_json())
+    if not _save_report(report, args.out_json):
+        return 2
     print(f"checked {report.checked} clips, {len(report.violations)} violation(s)")
     for v in report.violations:
         print(f"  {v['id']}: {v['kind']}: {v['detail']}")
@@ -55,8 +66,8 @@ def _cmd_evaluate(args) -> int:
     except (pipeline.ManifestError, metrics.MetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out_json:
-        Path(args.out_json).write_text(report.to_json())
+    if not _save_report(report, args.out_json):
+        return 2
     print(f"{'metric':<10} {'value':>10}")
     print(f"{'gcc_mae':<10} {report.gcc_mae:>10.3f}")
     print(f"{'gcc_ma':<10} {report.gcc_ma:>10.3f}")
@@ -125,6 +136,13 @@ def _cmd_render_scene(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stereoscene",
@@ -137,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--sample-rate", type=int, default=16000)
+    p.add_argument("--sample-rate", type=_positive_int, default=16000)
     p.add_argument("--subset", choices=pipeline.SUBSETS, default=None,
                    help="only synthesize entries with this subset tag")
     p.add_argument("--pcm16", action="store_true", help="write 16-bit PCM instead of float32")

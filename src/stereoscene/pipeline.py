@@ -19,6 +19,7 @@ import numpy as np
 
 from . import captions as cap
 from . import guidance, metrics, render
+from .acoustics import SPEED_OF_SOUND
 from .audio_io import AudioBuffer, AudioFormatError, read_wav, read_wav_info, write_wav
 from .render import crop_pad, mix_scene, render_moving
 from .rng import SeededRng, entry_seed
@@ -326,7 +327,7 @@ def _expected_itd_s(scene: SceneSpec, source) -> float:
     pos = np.asarray(source.start_pos)
     d_left = float(np.linalg.norm(pos - scene.mic_array.left_pos))
     d_right = float(np.linalg.norm(pos - scene.mic_array.right_pos))
-    return (d_left - d_right) / 343.0
+    return (d_left - d_right) / SPEED_OF_SOUND
 
 
 def _master_peak_limit(wav_path) -> float:

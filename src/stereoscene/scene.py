@@ -22,8 +22,6 @@ import numpy as np
 
 from .rng import SeededRng
 
-SPEED_OF_SOUND = 343.0
-
 SIZE_LABELS = ("outdoors", "large", "moderate", "small")
 DIRECTION_LABELS = ("left", "front_left", "front", "front_right", "right")
 DISTANCE_LABELS = ("far", "moderate", "near")
@@ -264,6 +262,11 @@ class SceneSpec:
             raise ValidationError("room dimensions must be positive")
         if self.rt60 is not None and not (RT60_RANGE[0] <= self.rt60 <= RT60_RANGE[1]):
             raise ValidationError(f"rt60 {self.rt60} outside {RT60_RANGE}")
+        if self.sample_rate < 1:
+            raise ValidationError(f"sample_rate {self.sample_rate} must be at least 1 Hz")
+        if round(self.duration * self.sample_rate) < 1:
+            raise ValidationError(f"duration {self.duration} s holds no sample at "
+                                  f"{self.sample_rate} Hz")
         for pos in (self.mic_array.left_pos, self.mic_array.right_pos):
             if not _inside(pos, dims):
                 raise GeometryError(f"microphone at {pos} outside room {dims}")

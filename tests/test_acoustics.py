@@ -14,8 +14,6 @@ from stereoscene.acoustics import (
     RirKernel,
     compute_rir,
     compute_rirs,
-    direct_path_rir,
-    direct_path_rirs,
     eyring_absorption,
     eyring_rt60,
     measure_rt60,
@@ -90,11 +88,11 @@ def test_absorption_set_from_list_builds_same_rir():
 
 
 # ---------------------------------------------------------------------------
-# direct path
+# direct path (the free field: absorption None)
 # ---------------------------------------------------------------------------
 def test_direct_path_delay_and_amplitude():
     # 3.43 m -> 10 ms -> 160 samples at 16 kHz, amplitude 1/(4 pi 3.43)
-    rir = direct_path_rir([5.0, 8.43, 5.0], [5.0, 5.0, 5.0], fs=16000)
+    rir = compute_rir((10.0, 10.0, 10.0), None, [5.0, 8.43, 5.0], [5.0, 5.0, 5.0], fs=16000)
     h = rir.samples[0]
     peak = int(np.argmax(np.abs(h)))
     assert peak == 160
@@ -114,7 +112,7 @@ def test_direct_path_symmetric_at_front():
 
 def test_coincident_source_mic_errors():
     with pytest.raises(AcousticsError):
-        direct_path_rir([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+        compute_rir((5.0, 5.0, 5.0), None, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(AcousticsError):
         compute_rir((5.0, 5.0, 5.0), AbsorptionSet.uniform(0.3),
                     [2.0, 2.0, 2.0], [2.0, 2.0, 2.0])
@@ -153,7 +151,7 @@ def test_direct_delay_matches_distance_1000_geometries():
         dist = float(np.linalg.norm(src - mic))
         if dist < 0.5:
             continue
-        rir = direct_path_rir(src, mic, fs=fs)
+        rir = compute_rir((61.0, 61.0, 61.0), None, src, mic, fs=fs)
         est = _upsampled_peak(rir.samples[0])
         max_err_samples = max(max_err_samples, abs(est - dist / 343.0 * fs))
     assert max_err_samples < 1.0 / 32.0
@@ -171,34 +169,28 @@ def _reference_place(h: np.ndarray, delays: np.ndarray, amps: np.ndarray) -> Non
 def test_direct_path_matches_per_mic_placement():
     # reference: one placement per mic into its own row
     pair = np.array([[2.0, 2.0, 1.5], [2.0, 2.17, 1.5]])
-    cases = [([5.0, 8.43, 5.0], [5.0, 5.0, 5.0], None),
-             ([7.0, 3.0, 1.5], pair, None),
-             ([7.0, 3.0, 1.5], pair, 0.1),
-             ([7.0, 3.0, 1.5], pair, 0.0148),  # length cuts into the impulses
-             ([7.0, 3.0, 1.5], pair, 0.005),  # length ends before the first tap
-             ([2.0, 2.1, 1.5], pair, 0.002)]  # taps before index 0 and past the end
-    for src, mic, length_s in cases:
+    cases = [([5.0, 8.43, 5.0], [5.0, 5.0, 5.0]),
+             ([7.0, 3.0, 1.5], pair),
+             ([2.0, 2.1, 1.5], pair)]  # taps before index 0
+    for src, mic in cases:
         mics = np.atleast_2d(mic)
         dists = np.linalg.norm(mics - np.asarray(src), axis=1)
         delays = dists / SPEED_OF_SOUND * 16000
-        n = (int(np.ceil(delays.max())) + FRAC_DELAY_TAPS if length_s is None
-             else int(round(length_s * 16000)))
-        expected = np.zeros((mics.shape[0], n))
+        expected = np.zeros((mics.shape[0], int(np.ceil(delays.max())) + FRAC_DELAY_TAPS))
         amps = 1.0 / (4.0 * np.pi * np.maximum(dists, MIN_SPREAD_DIST))
         for m in range(mics.shape[0]):
             _reference_place(expected[m], delays[m:m + 1], amps[m:m + 1])
-        got = direct_path_rir(src, mic, fs=16000, length_s=length_s).samples
+        got = compute_rir((10.0, 10.0, 10.0), None, src, mic, fs=16000).samples
         assert np.array_equal(got, expected)
 
 
-def _reference_compute_rir(dims, absorption, src, mic_pos, fs=16000, length_s=None):
+def _reference_compute_rir(dims, absorption, src, mic_pos, fs=16000):
     """compute_rir as a chunk, parity and mic loop; returns (rir, images kept)."""
     dims = np.asarray(dims, dtype=np.float64)
     src = np.asarray(src, dtype=np.float64)
     mics = np.atleast_2d(np.asarray(mic_pos, dtype=np.float64))
-    if length_s is None:
-        direct = float(np.linalg.norm(mics - src[None, :], axis=1).min())
-        length_s = direct / SPEED_OF_SOUND + 1.3 * eyring_rt60(absorption, dims)
+    direct = float(np.linalg.norm(mics - src[None, :], axis=1).min())
+    length_s = direct / SPEED_OF_SOUND + 1.3 * eyring_rt60(absorption, dims)
     n_samples = int(round(length_s * fs)) + FRAC_DELAY_TAPS
     max_dist = (n_samples + FRAC_DELAY_TAPS) / fs * SPEED_OF_SOUND
     orders = np.ceil(max_dist / (2.0 * dims)).astype(np.int64)
@@ -231,22 +223,21 @@ def _reference_compute_rir(dims, absorption, src, mic_pos, fs=16000, length_s=No
 
 def test_compute_rir_matches_per_parity_reference():
     pair = [[1.0, 1.0 - 0.085, 1.2], [1.0, 1.0 + 0.085, 1.2]]
-    cases = [  # dims, rt60, source, mics, length_s, minimum images kept
+    cases = [  # dims, rt60, source, mics, minimum images kept
         ((15.0, 14.0, 11.0), 0.45, [4.0, 9.0, 3.0], [[7.5, 7.0 - 0.085, 1.6],
-                                                       [7.5, 7.0 + 0.085, 1.6]], None, 10_000),
-        ((27.0, 25.0, 22.0), 0.45, [20.0, 6.0, 5.0], [13.0, 12.0, 1.6], None, 1),
+                                                       [7.5, 7.0 + 0.085, 1.6]], 10_000),
+        ((27.0, 25.0, 22.0), 0.45, [20.0, 6.0, 5.0], [13.0, 12.0, 1.6], 1),
         ((56.0, 52.0, 45.0), 0.47, [30.0, 40.0, 4.0], [[28.0, 26.0 - 0.085, 1.6],
-                                                        [28.0, 26.0 + 0.085, 1.6]], None, 1),
+                                                        [28.0, 26.0 + 0.085, 1.6]], 1),
         # 0.22 m from the wall x = 0 and 0.14 m from the left mic: taps before index 0
-        ((6.0, 5.0, 3.0), 0.35, [0.22, 0.95, 1.25], pair, None, 1),
-        ((6.0, 5.0, 3.0), 0.35, [0.22, 0.95, 1.25], pair, 0.02, 1),
-        ((9.0, 8.0, 4.0), 0.5, [6.0, 5.0, 2.0], pair, 0.015, 1),
+        ((6.0, 5.0, 3.0), 0.35, [0.22, 0.95, 1.25], pair, 1),
+        ((9.0, 8.0, 4.0), 0.5, [6.0, 5.0, 2.0], pair, 1),
     ]
-    for dims, rt60, src, mic, length_s, min_images in cases:
+    for dims, rt60, src, mic, min_images in cases:
         absorption = rt60_to_absorption(rt60, dims)
-        expected, kept = _reference_compute_rir(dims, absorption, src, mic, length_s=length_s)
+        expected, kept = _reference_compute_rir(dims, absorption, src, mic)
         assert kept >= min_images
-        got = compute_rir(dims, absorption, src, mic, fs=16000, length_s=length_s).samples
+        got = compute_rir(dims, absorption, src, mic, fs=16000).samples
         assert got.shape == expected.shape
         peak = np.abs(expected).max()
         assert np.abs(got - expected).max() <= 1e-14 * peak
@@ -255,7 +246,7 @@ def test_compute_rir_matches_per_parity_reference():
 
 
 def test_compute_rirs_matches_per_position():
-    cases = [  # dims, rt60, mics, sources
+    cases = [  # dims, rt60 (None: the free field), mics, sources
         # the first position splits into a full block and a tail that shares
         # a block with the second
         ((24.0, 22.0, 13.0), 0.3, [[12.0, 11.0 - 0.085, 1.5], [12.0, 11.0 + 0.085, 1.5]],
@@ -264,50 +255,42 @@ def test_compute_rirs_matches_per_position():
         # keeps images outside the near source's lattice
         ((30.0, 6.0, 3.0), 0.4, [[1.0, 3.0 - 0.085, 1.5], [1.0, 3.0 + 0.085, 1.5]],
          [[1.5, 3.5, 1.5], [29.0, 5.0, 2.5]]),
+        # the free field: one direct impulse per mic, up to the last of them
+        ((70.0, 60.0, 40.0), None, [[25.0, 35.0 - 0.085, 25.0], [25.0, 35.0 + 0.085, 25.0]],
+         [[27.0, 40.0, 25.0], [25.1, 34.9, 25.0], [60.0, 7.0, 10.0]]),
     ]
     dims, _, mics, srcs = cases[0]
     kept = [_reference_compute_rir(dims, rt60_to_absorption(0.3, dims), s, mics)[1] for s in srcs]
     assert kept[0] >= 4096 > kept[1] and kept[0] % 4096 + kept[1] <= 4096
     for dims, rt60, mics, srcs in cases:
-        absorption = rt60_to_absorption(rt60, dims)
-        for length_s in (None, 0.05):
-            got = compute_rirs(dims, absorption, srcs, mics, fs=16000, length_s=length_s)
-            assert len(got) == len(srcs)
-            for src, rir in zip(srcs, got):
-                want = compute_rir(dims, absorption, src, mics, fs=16000, length_s=length_s)
-                assert np.array_equal(rir.samples, want.samples)
-            if length_s is None:  # lengths and lattice orders differ across the batch
-                lengths = np.array([rir.length for rir in got])
-                assert np.unique(lengths).size == len(srcs)
-                reach = (lengths + FRAC_DELAY_TAPS) / 16000 * SPEED_OF_SOUND
-                orders = np.ceil(reach[:, None] / (2.0 * np.asarray(dims))).astype(int)
-                assert np.unique(orders, axis=0).shape[0] > 1
-
-
-def test_direct_path_rirs_matches_per_position():
-    mics = np.array([[25.0, 25.0 - 0.085, 25.0], [25.0, 25.0 + 0.085, 25.0]])
-    srcs = np.array([[27.0, 30.0, 25.0], [25.1, 24.9, 25.0], [60.0, -3.0, 10.0]])
-    for length_s in (None, 0.01):
-        got = direct_path_rirs(srcs, mics, fs=16000, length_s=length_s)
-        assert len({rir.length for rir in got}) == (3 if length_s is None else 1)
+        absorption = None if rt60 is None else rt60_to_absorption(rt60, dims)
+        got = compute_rirs(dims, absorption, srcs, mics, fs=16000)
+        assert len(got) == len(srcs)
         for src, rir in zip(srcs, got):
-            want = direct_path_rir(src, mics, fs=16000, length_s=length_s)
+            want = compute_rir(dims, absorption, src, mics, fs=16000)
             assert np.array_equal(rir.samples, want.samples)
+        lengths = np.array([rir.length for rir in got])  # differ across the batch
+        assert np.unique(lengths).size == len(srcs)
+        if rt60 is not None:  # and so do the lattice orders
+            reach = (lengths + FRAC_DELAY_TAPS) / 16000 * SPEED_OF_SOUND
+            orders = np.ceil(reach[:, None] / (2.0 * np.asarray(dims))).astype(int)
+            assert np.unique(orders, axis=0).shape[0] > 1
 
 
 def test_outdoor_mode_equals_full_absorption_ism():
-    # the outdoor direct path matches the ISM with all walls at 1, where
-    # every image but the direct one carries zero amplitude
+    # the free field matches the ISM with all walls at 1, where every image
+    # but the direct one carries zero amplitude; the lengths differ, the
+    # common samples do not
     dims = (50.0, 50.0, 50.0)
     pair = [[25.0, 25.0 - 0.085, 25.0], [25.0, 25.0 + 0.085, 25.0]]
-    cases = [([25.0, 30.0, 25.0], [25.0, 25.0, 25.0], 0.1),
-             ([27.0, 30.0, 25.0], pair, None)]
-    for src, mic, length_s in cases:
-        fast = direct_path_rir(src, mic, fs=16000, length_s=length_s)
-        full = compute_rir(dims, AbsorptionSet.uniform(1.0), src, mic, fs=16000,
-                           length_s=length_s)
-        n = min(fast.length, full.length)
-        np.testing.assert_allclose(fast.samples[:, :n], full.samples[:, :n], atol=1e-15)
+    cases = [([25.0, 30.0, 25.0], [25.0, 25.0, 25.0]),
+             ([27.0, 30.0, 25.0], pair),
+             ([3.0, 47.0, 1.5], pair)]
+    for src, mic in cases:
+        free = compute_rir(dims, None, src, mic, fs=16000)
+        full = compute_rir(dims, AbsorptionSet.uniform(1.0), src, mic, fs=16000)
+        n = min(free.length, full.length)
+        assert np.array_equal(free.samples[:, :n], full.samples[:, :n])
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +316,7 @@ def test_energy_monotone_in_absorption():
     mic = [5.0, 4.0, 3.0]
     energies = []
     for alpha in (0.2, 0.4, 0.6, 0.8, 1.0):
-        rir = compute_rir(dims, AbsorptionSet.uniform(alpha), src, mic,
-                          fs=16000, length_s=0.6)
+        rir = compute_rir(dims, AbsorptionSet.uniform(alpha), src, mic, fs=16000)
         energies.append(float(np.sum(rir.samples[0] ** 2)))
     assert all(e1 >= e2 for e1, e2 in zip(energies, energies[1:]))
 
@@ -422,7 +404,7 @@ def test_next_fast_len_equals_scipy():
 
 
 def test_render_silence_is_silent():
-    rir = direct_path_rir([1.0, 2.0, 1.0], [1.0, 1.0, 1.0])
+    rir = compute_rir((3.0, 3.0, 3.0), None, [1.0, 2.0, 1.0], [1.0, 1.0, 1.0])
     out = render_static(AudioBuffer(np.zeros(8000), 16000),
                         RirKernel(rir.samples[[0, 0]], 16000))
     assert np.all(out.data == 0)
@@ -438,7 +420,8 @@ def test_render_linearity():
     rng = np.random.default_rng(5)
     x = AudioBuffer(rng.standard_normal(4000), 16000)
     y = AudioBuffer(rng.standard_normal(4000), 16000)
-    rir = direct_path_rir([2.0, 4.0, 2.0], np.array([[2.0, 2.0, 2.0], [2.0, 2.1, 2.0]]))
+    rir = compute_rir((5.0, 5.0, 5.0), None, [2.0, 4.0, 2.0],
+                      np.array([[2.0, 2.0, 2.0], [2.0, 2.1, 2.0]]))
     a, b = 2.5, -0.7
     combo = render_static(AudioBuffer(a * x.data + b * y.data, 16000), rir)
     separate = a * render_static(x, rir).data + b * render_static(y, rir).data

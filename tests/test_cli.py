@@ -31,6 +31,15 @@ def workspace(tmp_path_factory):
     return root, clip, manifest
 
 
+@pytest.fixture(scope="module")
+def dataset(workspace):
+    root, _, manifest = workspace
+    out = root / "ds"
+    if not (out / "index.jsonl").exists():
+        main(["synthesize", "--manifest", str(manifest), "--out", str(out), "--seed", "3"])
+    return out
+
+
 def test_synthesize_validate_evaluate_success_codes(workspace, capsys):
     root, clip, manifest = workspace
     out = root / "ds"
@@ -55,6 +64,27 @@ def test_evaluate_single_common_pair_exit_two(tmp_path, capsys):
     assert main(["evaluate", "--generated", str(tmp_path / "gen"),
                  "--reference", str(tmp_path / "ref")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+def test_out_json_in_missing_directory_exits_two(dataset, tmp_path, capsys, command):
+    report = tmp_path / "no-such-dir" / "report.json"
+    inputs = (["--dataset", str(dataset)] if command == "validate"
+              else ["--generated", str(dataset), "--reference", str(dataset)])
+    assert main([command, *inputs, "--out-json", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report.parent.exists()
+
+
+@pytest.mark.parametrize("rate", ["0", "-16000"])
+def test_synthesize_nonpositive_sample_rate_exits_two(workspace, tmp_path, capsys, rate):
+    _, _, manifest = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+              "--sample-rate", rate])
+    assert exc.value.code == 2
+    assert "--sample-rate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synthesize_partial_failure_exit_one(workspace, tmp_path):
@@ -142,14 +172,10 @@ def test_parse_captions_missing_input_exits_two(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_render_scene_with_rir_export(workspace, tmp_path, capsys):
-    root, clip, manifest = workspace
-    out_dir = root / "ds"
-    if not (out_dir / "index.jsonl").exists():
-        main(["synthesize", "--manifest", str(manifest), "--out", str(out_dir),
-              "--seed", "3"])
-    row = json.loads((out_dir / "index.jsonl").read_text().splitlines()[0])
-    meta = json.loads((out_dir / row["metadata"]).read_text())
+def test_render_scene_with_rir_export(workspace, dataset, tmp_path, capsys):
+    _, clip, _ = workspace
+    row = json.loads((dataset / "index.jsonl").read_text().splitlines()[0])
+    meta = json.loads((dataset / row["metadata"]).read_text())
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(json.dumps(meta["scene"]))
     out_wav = tmp_path / "debug.wav"
@@ -182,7 +208,9 @@ def test_render_scene_unreadable_audio_exits_two(workspace, tmp_path, capsys, de
 
 @pytest.mark.parametrize("defect", ["not an object", "missing field", "unknown field",
                                     "string angle", "two room dims", "NaN",
-                                    "source on a capsule"])
+                                    "source on a capsule", "zero sample rate",
+                                    "negative sample rate", "zero duration",
+                                    "negative duration", "sub-sample duration"])
 def test_render_scene_malformed_scene_exits_two(workspace, tmp_path, capsys, defect):
     _, clip, _ = workspace
     scene = json.loads(sample_scene(parse_caption("A dog barks on the left, outdoors."),
@@ -202,6 +230,11 @@ def test_render_scene_malformed_scene_exits_two(workspace, tmp_path, capsys, def
         "NaN": (edited(movement="moving", move_interval=float("nan")),
                 "SourceSpec.move_interval"),
         "source on a capsule": (edited(start_pos=capsule, end_pos=capsule), "coincide"),
+        "zero sample rate": (json.dumps(dict(scene, sample_rate=0)), "sample_rate"),
+        "negative sample rate": (json.dumps(dict(scene, sample_rate=-16000)), "sample_rate"),
+        "zero duration": (json.dumps(dict(scene, duration=0)), "duration"),
+        "negative duration": (json.dumps(dict(scene, duration=-1)), "duration"),
+        "sub-sample duration": (json.dumps(dict(scene, duration=1e-9)), "duration"),
     }[defect]
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(text)

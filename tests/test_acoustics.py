@@ -246,7 +246,7 @@ def test_compute_rir_matches_per_parity_reference():
 
 
 def test_compute_rirs_matches_per_position():
-    cases = [  # dims, rt60 (None: the free field), mics, sources
+    cases = [  # dims, rt60, mics, sources
         # the first position splits into a full block and a tail that shares
         # a block with the second
         ((24.0, 22.0, 13.0), 0.3, [[12.0, 11.0 - 0.085, 1.5], [12.0, 11.0 + 0.085, 1.5]],
@@ -255,15 +255,12 @@ def test_compute_rirs_matches_per_position():
         # keeps images outside the near source's lattice
         ((30.0, 6.0, 3.0), 0.4, [[1.0, 3.0 - 0.085, 1.5], [1.0, 3.0 + 0.085, 1.5]],
          [[1.5, 3.5, 1.5], [29.0, 5.0, 2.5]]),
-        # the free field: one direct impulse per mic, up to the last of them
-        ((70.0, 60.0, 40.0), None, [[25.0, 35.0 - 0.085, 25.0], [25.0, 35.0 + 0.085, 25.0]],
-         [[27.0, 40.0, 25.0], [25.1, 34.9, 25.0], [60.0, 7.0, 10.0]]),
     ]
     dims, _, mics, srcs = cases[0]
     kept = [_reference_compute_rir(dims, rt60_to_absorption(0.3, dims), s, mics)[1] for s in srcs]
     assert kept[0] >= 4096 > kept[1] and kept[0] % 4096 + kept[1] <= 4096
     for dims, rt60, mics, srcs in cases:
-        absorption = None if rt60 is None else rt60_to_absorption(rt60, dims)
+        absorption = rt60_to_absorption(rt60, dims)
         got = compute_rirs(dims, absorption, srcs, mics, fs=16000)
         assert len(got) == len(srcs)
         for src, rir in zip(srcs, got):
@@ -271,10 +268,23 @@ def test_compute_rirs_matches_per_position():
             assert np.array_equal(rir.samples, want.samples)
         lengths = np.array([rir.length for rir in got])  # differ across the batch
         assert np.unique(lengths).size == len(srcs)
-        if rt60 is not None:  # and so do the lattice orders
-            reach = (lengths + FRAC_DELAY_TAPS) / 16000 * SPEED_OF_SOUND
-            orders = np.ceil(reach[:, None] / (2.0 * np.asarray(dims))).astype(int)
-            assert np.unique(orders, axis=0).shape[0] > 1
+        reach = (lengths + FRAC_DELAY_TAPS) / 16000 * SPEED_OF_SOUND  # and so do the
+        orders = np.ceil(reach[:, None] / (2.0 * np.asarray(dims))).astype(int)  # orders
+        assert np.unique(orders, axis=0).shape[0] > 1
+
+
+def test_direct_path_rirs_matches_per_position():
+    # the free field (absorption None): one direct impulse per mic, up to the
+    # last of them, built for the whole batch at once
+    dims = (70.0, 60.0, 40.0)
+    mics = np.array([[25.0, 35.0 - 0.085, 25.0], [25.0, 35.0 + 0.085, 25.0]])
+    srcs = np.array([[27.0, 40.0, 25.0], [25.1, 34.9, 25.0], [60.0, 7.0, 10.0]])
+    got = compute_rirs(dims, None, srcs, mics, fs=16000)
+    assert len(got) == len(srcs)
+    assert len({rir.length for rir in got}) == len(srcs)
+    for src, rir in zip(srcs, got):
+        want = compute_rir(dims, None, src, mics, fs=16000)
+        assert np.array_equal(rir.samples, want.samples)
 
 
 def test_outdoor_mode_equals_full_absorption_ism():

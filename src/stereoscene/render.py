@@ -122,27 +122,22 @@ def crop_pad(mono: AudioBuffer, rng: SeededRng | None = None,
     return AudioBuffer(x[start:start + target_n], fs)
 
 
-def _grain_windows(n_grains: int, hop: int) -> np.ndarray:
-    """Per-grain windows of length 2*hop with raised-cosine crossfades.
-
-    Interior grains rise over the first hop and fall over the second; the
-    first grain starts at 1 and the last ends at 1, so the windows sum to
-    exactly 1 everywhere (still trajectories reproduce the static render).
-    """
-    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(hop) / hop))
-    w = np.ones((n_grains, 2 * hop))
-    w[1:, :hop] = ramp
-    w[:-1, hop:] = 1.0 - ramp
-    return w
+def _ramp(hop: int) -> np.ndarray:
+    """Raised-cosine rise over one hop. A grain rises by it and falls by
+    ``1 - ramp`` while the next rises, and fall + rise is exactly 1.0, so a
+    still trajectory reproduces the static render."""
+    return 0.5 * (1.0 - np.cos(np.pi * np.arange(hop) / hop))
 
 
 def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> AudioBuffer:
-    """Render a moving or instant source by time-varying convolution.
+    """Render a source by time-varying convolution.
 
     The trajectory is sampled every MOVING_HOP_S; the input is cut into
     2*hop grains with raised-cosine crossfades, each convolved with the RIR
-    at its trajectory point and overlap-added. Consecutive grains at the same
-    position form a run: the run's windows are summed and its input is
+    at its trajectory point and overlap-added. Grain j carries the position
+    at j*hop, so an instant source's jump crossfades over the first grain
+    boundary at or after its jump time. Consecutive grains at the same
+    position form a run, whose input is faded in and out at its ends and
     convolved once. Single-grain runs are convolved in stacks of
     ``_GRAIN_BATCH`` sharing one transform size, set by the stack's longest
     response; response lengths follow from the positions, so it is known
@@ -156,28 +151,24 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
     thread at a time; anechoic scenes run one job per stack on the calling
     thread alone. The calling thread adds the results in a fixed order, so
     the output bytes do not depend on the thread count. Responses are
-    dropped once their job is added. Instant sources render as two static
-    halves crossfaded over one hop at the jump time.
+    dropped once their job is added. A still source is one static
+    convolution.
     """
-    if source.movement == "still":
-        rir = stereo_rir_for(scene, np.asarray(source.start_pos))
-        return render_static(mono, rir)
     if mono.channels != 1:
         raise RenderError("render_moving expects a mono buffer")
     if mono.sample_rate != scene.sample_rate:
         raise AcousticsError(
             f"sample-rate mismatch: clip {mono.sample_rate}, scene {scene.sample_rate}"
         )
+    if source.movement == "still":
+        rir = stereo_rir_for(scene, np.asarray(source.start_pos))
+        return render_static(mono, rir)
     fs = scene.sample_rate
     n = mono.n_samples
     hop = int(round(MOVING_HOP_S * fs))
-
-    if source.movement == "instant":
-        return _render_instant(mono, scene, source, hop)
-
     x = np.asarray(mono.data, dtype=np.float64)
     n_grains = int(np.ceil(n / hop))
-    windows = _grain_windows(n_grains, hop)
+    ramp = _ramp(hop)
     positions = source.positions(np.arange(n_grains) * MOVING_HOP_S)
     keys = np.round(positions, 9)
     firsts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
@@ -187,11 +178,11 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
 
     # a job is made on the calling thread and returns the task the pool runs
     def grains_task(grains, nfft):
-        return partial(_convolve_grains, x, windows, hop, grains, scene, positions[grains], nfft)
+        return partial(_convolve_grains, x, ramp, grains, scene, positions[grains], nfft)
 
     def run_task(j0, j1):
         rir = stereo_rir_for(scene, positions[j0])
-        return partial(_convolve_run, x, windows, hop, j0, j1, rir)
+        return partial(_convolve_run, x, ramp, j0, j1, rir)
 
     # a direct-path response takes tens of microseconds, mostly interpreter
     # time, so a second thread would only contend for the interpreter lock;
@@ -248,55 +239,40 @@ def _run_jobs(jobs, threads: int):
             yield pending.popleft().result()
 
 
-def _convolve_run(x, windows, hop, j0, j1, rir):
-    """[(start, (2, L) segment)] for grains j0..j1 through one response."""
+def _convolve_run(x, ramp, j0, j1, rir):
+    """[(start, (2, L) segment)] for grains j0..j1 through one response.
+
+    The run rises over its first hop, unless it starts the clip, and falls
+    over its last; between them each fall + rise sums to exactly 1."""
+    hop = ramp.size
     start = j0 * hop
-    # a run's summed windows: its first rise, the overlapped fall + rise of
-    # each neighbouring pair, its last fall
-    w = np.concatenate([windows[j0, :hop],
-                        (windows[j0:j1, hop:] + windows[j0 + 1:j1 + 1, :hop]).ravel(),
-                        windows[j1, hop:]])
-    seg_in = x[start:start + w.size]
-    seg_in = seg_in * w[:seg_in.size]
+    seg_in = x[start:(j1 + 2) * hop].copy()
+    if j0 > 0:
+        seg_in[:hop] *= ramp
+    # empty for the clip's last grain, which ends the input
+    fall = seg_in[(j1 + 1 - j0) * hop:]
+    fall *= (1.0 - ramp)[:fall.size]
     return [(start, stereo_convolve(seg_in, rir.samples))]
 
 
-def _convolve_grains(x, windows, hop, grains, scene, positions, nfft):
+def _convolve_grains(x, ramp, grains, scene, positions, nfft):
     """[(start, (2, L) segment)] per single grain, each through the response
     at its position, built in one batch and convolved at transform size nfft."""
+    hop = ramp.size
     rirs = stereo_rirs_for(scene, positions)
     taps = max(rir.length for rir in rirs)
     inputs = np.zeros((len(grains), 2 * hop))
     kernels = np.zeros((len(grains), 2, taps))
     for i, (j, rir) in enumerate(zip(grains, rirs)):
-        grain = x[j * hop:j * hop + 2 * hop]
-        inputs[i, :grain.size] = grain * windows[j, :grain.size]
+        grain = x[j * hop:(j + 2) * hop]
+        inputs[i, :grain.size] = grain
         kernels[i, :, :rir.length] = rir.samples
+    # the clip's first grain does not rise; its last holds no input to fall
+    inputs[np.asarray(grains) > 0, :hop] *= ramp
+    inputs[:, hop:] *= 1.0 - ramp
     segs = irfft(rfft(inputs, nfft)[:, None, :] * rfft(kernels, nfft), nfft)
     return [(j * hop, segs[i, :, :2 * hop + rir.length - 1])
             for i, (j, rir) in enumerate(zip(grains, rirs))]
-
-
-def _render_instant(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec,
-                    hop: int) -> AudioBuffer:
-    fs = scene.sample_rate
-    n = mono.n_samples
-    jump = int(np.clip(round(source.instant_time * fs), 0, n))
-    rir_a = stereo_rir_for(scene, np.asarray(source.start_pos))
-    rir_b = stereo_rir_for(scene, np.asarray(source.end_pos))
-    x = np.asarray(mono.data, dtype=np.float64)
-
-    fade = min(hop, jump, n - jump)
-    gate_a = np.zeros(n)
-    gate_a[:jump] = 1.0
-    if fade > 0:
-        ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(fade) / fade))
-        gate_a[jump - fade // 2: jump - fade // 2 + fade] = 1.0 - ramp
-    gate_b = 1.0 - gate_a
-
-    out = stereo_convolve(x * gate_a, rir_a.samples)[:, :n]
-    out += stereo_convolve(x * gate_b, rir_b.samples)[:, :n]
-    return AudioBuffer(np.ascontiguousarray(out.T), fs)
 
 
 @dataclass(frozen=True)

@@ -379,11 +379,13 @@ def _renderer_convolution_cases():
     open_field = open_field_scene([])
     near = stereo_rir_for(open_field, np.asarray(polar_pos(30.0, 0.4))).samples
     far = stereo_rir_for(open_field, np.asarray(polar_pos(150.0, 37.0))).samples
-    # the two halves of an instant source, gated as render_moving gates them
-    jump, fade = 70000, 160
-    gate_a = np.zeros(clip.size)
-    gate_a[:jump] = 1.0
-    gate_a[jump - fade // 2:jump + fade // 2] = 0.5 * (1.0 + np.cos(np.pi * np.arange(fade) / fade))
+    # the two runs of an instant source jumping at grain 438 of 160 samples:
+    # the first falls over its last hop, the second rises over its first
+    hop, jump = 160, 438 * 160
+    rise = 0.5 * (1.0 - np.cos(np.pi * np.arange(hop) / hop))
+    before, after = clip[:jump + hop].copy(), clip[jump:].copy()
+    before[jump:] *= 1.0 - rise
+    after[:hop] *= rise
     return [
         ("still-indoor", clip, indoor),
         ("still-outdoor-near", clip, near),
@@ -391,8 +393,8 @@ def _renderer_convolution_cases():
         ("run-shorter-than-kernel", clip[:480], indoor),
         ("run-outdoor", clip[:20000], far),
         ("one-tap", clip, np.array([[0.5], [-0.25]])),
-        ("instant-first-half", clip * gate_a, indoor),
-        ("instant-second-half", clip * (1.0 - gate_a), near),
+        ("instant-run-before-jump", before, indoor),
+        ("instant-run-after-jump", after, near),
     ]
 
 

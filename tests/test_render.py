@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.signal import oaconvolve
@@ -22,6 +24,7 @@ from conftest import (
     open_field_scene,
     polar_pos,
     rms_normalize,
+    still_source,
 )
 from stereoscene.metrics import tdoa_series
 
@@ -133,6 +136,21 @@ def _degenerate_motion(noise_clip):
     return noise_clip, open_field_scene([src]), src
 
 
+def _outdoor_jump(noise_clip):
+    src = SourceSpec(start_pos=polar_pos(40.0, 9.0), end_pos=polar_pos(130.0, 20.0),
+                     angle=40.0, distance=9.0, movement="instant", end_angle=130.0,
+                     end_distance=20.0, instant_time=4.567)
+    return noise_clip, open_field_scene([src]), src
+
+
+def _small_room_jump(noise_clip):
+    clip, scene, sweep = _small_room_sweep(noise_clip)
+    src = SourceSpec(start_pos=sweep.start_pos, end_pos=sweep.end_pos, angle=0.0,
+                     distance=2.0, movement="instant", end_angle=90.0, end_distance=2.0,
+                     instant_time=1.234)
+    return clip, replace(scene, sources=(src,)), src
+
+
 def test_degenerate_motion_equals_static(noise_clip):
     _, scene, src = _degenerate_motion(noise_clip)
     moved = render_moving(noise_clip, scene, src)
@@ -195,7 +213,11 @@ def _per_grain_reference(mono, scene, source, rir_for):
     hop = int(round(MOVING_HOP_S * scene.sample_rate))
     x, n = mono.data, mono.n_samples
     n_grains = int(np.ceil(n / hop))
-    windows = render._grain_windows(n_grains, hop)
+    # raised-cosine crossfades; the first grain starts at 1, the last ends at 1
+    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(hop) / hop))
+    windows = np.ones((n_grains, 2 * hop))
+    windows[1:, :hop] = ramp
+    windows[:-1, hop:] = 1.0 - ramp
     out = np.zeros((n, 2))
     cache = {}
     for j in range(n_grains):
@@ -212,7 +234,8 @@ def _per_grain_reference(mono, scene, source, rir_for):
     return out
 
 
-@pytest.mark.parametrize("case", [_outdoor_sweep, _small_room_sweep, _degenerate_motion])
+@pytest.mark.parametrize("case", [_outdoor_sweep, _small_room_sweep, _degenerate_motion,
+                                  _outdoor_jump, _small_room_jump])
 def test_moving_render_matches_per_grain_reference(case, noise_clip, monkeypatch):
     clip, scene, src = case(noise_clip)
     built, calls = {}, []
@@ -243,6 +266,26 @@ def test_moving_render_matches_per_grain_reference(case, noise_clip, monkeypatch
     keys = [tuple(np.round(src.position_at(j * MOVING_HOP_S), 9)) for j in range(n_grains)]
     runs = [k for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
     assert sorted(calls) == sorted(runs)
+
+
+@pytest.mark.parametrize("fs", [8000, 16000, 22050, 44100, 48000])
+def test_crossfade_ramps_sum_to_exactly_one(fs):
+    # a run's interior passes unscaled because each grain's fall plus the
+    # next grain's rise is 1.0 to the last bit
+    ramp = render._ramp(int(round(MOVING_HOP_S * fs)))
+    assert np.array_equal((1.0 - ramp) + ramp, np.ones(ramp.size))
+
+
+@pytest.mark.parametrize("src", [
+    still_source(30.0, 15.0),
+    moving_source(30.0, 150.0, 15.0),
+    replace(moving_source(30.0, 150.0, 15.0), movement="instant", instant_time=5.0),
+], ids=["still", "moving", "instant"])
+def test_render_moving_rejects_stereo_input(src, noise_clip):
+    # one input error whatever the movement
+    stereo = AudioBuffer(np.stack([noise_clip.data] * 2, axis=1), 16000)
+    with pytest.raises(RenderError, match="mono"):
+        render_moving(stereo, open_field_scene([src]), src)
 
 
 def test_moving_render_bytes_independent_of_jobs_and_threads(noise_clip, monkeypatch):

@@ -17,7 +17,6 @@ from .scene import (
 )
 from .rng import SeededRng, entry_seed
 from .acoustics import (
-    AbsorptionSet,
     RirKernel,
     compute_rir,
     eyring_rt60,

@@ -1,7 +1,7 @@
 """Shoebox image-source room impulse responses with fractional delays.
 
-Walls are indexed (x0, xL, y0, yL, z0, zL): the wall at coordinate 0 and at
-the room extent, per axis. Pressure reflection factors are sqrt(1 - alpha).
+Every wall absorbs the same energy fraction alpha, so every reflection scales
+pressure by sqrt(1 - alpha); an absorption of None is the free field.
 Speed of sound is fixed at 343 m/s; air absorption is ignored.
 """
 
@@ -44,32 +44,6 @@ class AcousticsError(ValueError):
 
 
 @dataclass(frozen=True)
-class AbsorptionSet:
-    """Per-wall energy absorption coefficients, each in (0, 1]."""
-
-    coefficients: tuple[float, float, float, float, float, float]
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.float64)
-        if c.shape != (6,) or np.any(c <= 0) or np.any(c > 1):
-            raise AcousticsError("wall absorption must be six values in (0, 1]")
-        # a tuple, so that the set can key the cached image lattice
-        object.__setattr__(self, "coefficients", tuple(c.tolist()))
-
-    @staticmethod
-    def uniform(alpha: float) -> "AbsorptionSet":
-        return AbsorptionSet(tuple([float(alpha)] * 6))
-
-    @property
-    def reflection_factors(self) -> np.ndarray:
-        return np.sqrt(1.0 - np.asarray(self.coefficients, dtype=np.float64))
-
-
-# the free field as a room: every reflection factor is 0
-_FREE_FIELD = AbsorptionSet.uniform(1.0)
-
-
-@dataclass(frozen=True)
 class RirKernel:
     """Impulse response, shape (channels, length)."""
 
@@ -102,22 +76,17 @@ def eyring_absorption(rt60_s: float, room_dims) -> float:
     return float(-np.expm1(-EYRING_COEFF * volume / (surface * rt60_s)))
 
 
-def eyring_rt60(absorption: AbsorptionSet | float, room_dims) -> float:
-    """Forward Eyring prediction from (area-weighted mean) absorption."""
-    d = np.asarray(room_dims, dtype=np.float64)
-    areas = np.array([d[1] * d[2], d[1] * d[2], d[0] * d[2], d[0] * d[2], d[0] * d[1], d[0] * d[1]])
-    if isinstance(absorption, AbsorptionSet):
-        alpha = float(np.sum(areas * np.asarray(absorption.coefficients)) / areas.sum())
-    else:
-        alpha = float(absorption)
+def eyring_rt60(alpha: float, room_dims) -> float:
+    """Forward Eyring prediction from the wall absorption."""
     if alpha >= 1.0:
         return 0.0
     surface, volume = _surface_and_volume(room_dims)
     return EYRING_COEFF * volume / (surface * (-math.log(1.0 - alpha)))
 
 
-def rt60_to_absorption(rt60_s: float, room_dims) -> AbsorptionSet:
-    """Uniform per-wall absorption realizing the requested decay time.
+def rt60_to_absorption(rt60_s: float, room_dims) -> float:
+    """The wall absorption alpha, shared by all six walls, that realizes the
+    requested decay time by Eyring's formula.
 
     Raises when the demanded rt60 needs absorption outside
     [ALPHA_MIN, ALPHA_MAX]; the message names the achievable range for the
@@ -132,7 +101,7 @@ def rt60_to_absorption(rt60_s: float, room_dims) -> AbsorptionSet:
             f"(needs absorption {alpha:.3g}); achievable range is "
             f"[{lo:.3g}, {hi:.3g}] s"
         )
-    return AbsorptionSet.uniform(alpha)
+    return alpha
 
 
 _FRAC_TABLE_STEPS = 8192
@@ -223,7 +192,7 @@ def _place_impulses(lengths: np.ndarray, m: int, rows: np.ndarray, delays: np.nd
             for g, n in enumerate(lengths.tolist())]
 
 
-def _lengths(dims, absorption: AbsorptionSet | None, srcs: np.ndarray, mics: np.ndarray,
+def _lengths(dims, absorption: float | None, srcs: np.ndarray, mics: np.ndarray,
              fs: int) -> np.ndarray:
     """Response samples at each source position of ``srcs`` (P, 3); raises
     when a source and a microphone coincide.
@@ -242,45 +211,45 @@ def _lengths(dims, absorption: AbsorptionSet | None, srcs: np.ndarray, mics: np.
 
 
 @lru_cache(maxsize=4)
-def _image_lattice(orders: tuple, absorption: AbsorptionSet):
+def _image_lattice(orders: tuple, absorption: float):
     """Per-axis image indices and the reflection amplitude of every image.
 
     Images are ordered by wall parity (px, py, pz), then by the lattice index
     (nx, ny, nz), each lexicographically. Neither depends on source or
     microphone positions, so moving-source renders reuse them.
     """
-    beta = absorption.reflection_factors
+    beta = math.sqrt(1.0 - absorption)
     ax = [np.arange(-orders[k], orders[k] + 1, dtype=np.int64) for k in range(3)]
     parities = np.array([[px, py, pz] for px in (0, 1) for py in (0, 1) for pz in (0, 1)])
     grid = np.stack(np.meshgrid(ax[0], ax[1], ax[2], indexing="ij"), axis=-1).reshape(-1, 3)
     refl_amps = []
     for p in parities:
-        refl_lo = np.abs(grid - p[None, :])  # walls at coordinate 0
-        refl_hi = np.abs(grid)  # walls at the room extent
-        refl_amps.append(
-            beta[0] ** refl_lo[:, 0] * beta[1] ** refl_hi[:, 0]
-            * beta[2] ** refl_lo[:, 1] * beta[3] ** refl_hi[:, 1]
-            * beta[4] ** refl_lo[:, 2] * beta[5] ** refl_hi[:, 2]
-        )
+        # reflections off each wall, ordered [x=0, x=L, y=0, y=L, z=0, z=L];
+        # the product of their six powers gives the amplitudes of a per-wall
+        # product bit for bit, where beta ** (their sum) rounds differently
+        refl = np.abs(np.stack([grid - p, grid], axis=2)).reshape(-1, 6)
+        refl_amps.append(np.prod(beta ** refl, axis=1))
     return ax, np.concatenate(refl_amps)
 
 
-def compute_rir(room_dims, absorption: AbsorptionSet | None, source_pos, mic_pos,
+def compute_rir(room_dims, absorption: float | None, source_pos, mic_pos,
                 fs: int = 16000) -> RirKernel:
-    """Image-source impulse response for a shoebox room.
+    """Image-source impulse response for a shoebox room (Allen & Berkley 1979).
 
-    ``mic_pos`` may be one position (3,) or several (M, 3). The response
-    length is the direct delay + 1.3x the Eyring decay estimate, and the
-    image grid extends exactly far enough that every image able to land in
-    that buffer is included (image energy beyond it is below -60 dB by the
-    Eyring estimate). ``absorption`` None is the free field: only the direct
-    image sounds, and the response ends with the last direct impulse.
+    ``absorption`` is the energy fraction alpha in (0, 1] that every wall
+    absorbs, as ``rt60_to_absorption`` gives it; ``mic_pos`` may be one
+    position (3,) or several (M, 3). The response length is the direct delay
+    + 1.3x the Eyring decay estimate, and the image grid extends exactly far
+    enough that every image able to land in that buffer is included (image
+    energy beyond it is below -60 dB by the Eyring estimate). ``absorption``
+    None is the free field: only the direct image sounds, and the response
+    ends with the last direct impulse.
     """
     src = np.asarray(source_pos, dtype=np.float64)
     return compute_rirs(room_dims, absorption, src[None, :], mic_pos, fs)[0]
 
 
-def compute_rirs(room_dims, absorption: AbsorptionSet | None, sources, mic_pos,
+def compute_rirs(room_dims, absorption: float | None, sources, mic_pos,
                  fs: int = 16000) -> list[RirKernel]:
     """compute_rir at each source position of ``sources`` (P, 3), in one pass.
 
@@ -295,10 +264,12 @@ def compute_rirs(room_dims, absorption: AbsorptionSet | None, sources, mic_pos,
     mics = np.atleast_2d(np.asarray(mic_pos, dtype=np.float64))
     if np.any(srcs <= 0) or np.any(srcs >= dims):
         raise AcousticsError("source must be strictly inside the room")
+    if absorption is not None and not 0.0 < absorption <= 1.0:
+        raise AcousticsError(f"wall absorption must be in (0, 1], got {absorption}")
     n_samples = _lengths(dims, absorption, srcs, mics, fs)
     max_dist = (n_samples + FRAC_DELAY_TAPS) / fs * SPEED_OF_SOUND
     if absorption is None:  # every image but the direct one is silent
-        axes, refl_amps = _image_lattice((0, 0, 0), _FREE_FIELD)
+        axes, refl_amps = _image_lattice((0, 0, 0), 1.0)
     else:
         orders = np.ceil(max_dist[:, None] / (2.0 * dims)).astype(np.int64).max(axis=0)
         axes, refl_amps = _image_lattice(tuple(orders.tolist()), absorption)
@@ -409,7 +380,7 @@ def stereo_rir_for(scene, source_pos) -> RirKernel:
     return stereo_rirs_for(scene, np.asarray(source_pos)[None, :])[0]
 
 
-def _scene_absorption(scene) -> AbsorptionSet | None:
+def _scene_absorption(scene) -> float | None:
     return None if scene.anechoic else rt60_to_absorption(scene.rt60, scene.room_dims)
 
 
@@ -417,14 +388,6 @@ def stereo_rirs_for(scene, positions) -> list[RirKernel]:
     """stereo_rir_for at each of ``positions`` (P, 3), bit for bit, in one batch."""
     return compute_rirs(scene.room_dims, _scene_absorption(scene), positions,
                         _stereo_mics(scene), scene.sample_rate)
-
-
-def stereo_rir_lengths(scene, positions) -> np.ndarray:
-    """Samples in the stereo_rir_for response at each of ``positions`` (P, 3),
-    without building it."""
-    return _lengths(scene.room_dims, _scene_absorption(scene),
-                    np.atleast_2d(np.asarray(positions, dtype=np.float64)),
-                    _stereo_mics(scene), scene.sample_rate)
 
 
 def schroeder_decay_db(rir: np.ndarray) -> np.ndarray:

@@ -10,9 +10,9 @@ from pathlib import Path
 
 from . import captions as cap
 from . import metrics, pipeline
-from .audio_io import AudioBuffer, AudioFormatError, read_wav, write_wav
-from .acoustics import AcousticsError, stereo_rir_for
-from .render import RenderError, crop_pad, mix_scene, render_moving
+from .audio_io import AudioBuffer, write_wav
+from .acoustics import stereo_rir_for
+from .render import mix_scene
 from .rng import SeededRng
 from .scene import SceneSpec
 
@@ -58,9 +58,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    ext = None
-    if args.external_gen and args.external_ref:
-        ext = (args.external_gen, args.external_ref)
+    if bool(args.external_gen) != bool(args.external_ref):
+        missing = "--external-ref" if args.external_gen else "--external-gen"
+        print(f"error: external embeddings need {missing} as well", file=sys.stderr)
+        return 2
+    ext = (args.external_gen, args.external_ref) if args.external_gen else None
     try:
         report = pipeline.evaluate(args.generated, args.reference, external_embeddings=ext)
     except (pipeline.ManifestError, metrics.MetricError) as exc:
@@ -110,14 +112,9 @@ def _cmd_render_scene(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rng = SeededRng(args.seed)
     try:
-        clips = [crop_pad(read_wav(path).mono().resample(scene.sample_rate),
-                          rng.child(f"crop{i}"), target_s=scene.duration)
-                 for i, path in enumerate(args.audio)]
-        mix = mix_scene([render_moving(clips[i % len(clips)], scene, src)
-                         for i, src in enumerate(scene.sources)])
-    except (OSError, AudioFormatError, AcousticsError, RenderError) as exc:
+        mix = mix_scene(pipeline.render_sources(scene, args.audio, SeededRng(args.seed)))
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     write_wav(args.out, mix.audio, pcm16=args.pcm16)

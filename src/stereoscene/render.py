@@ -13,7 +13,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .acoustics import (AcousticsError, next_fast_len, render_static, stereo_convolve,
-                        stereo_rir_for, stereo_rir_lengths, stereo_rirs_for)
+                        stereo_rir_for, stereo_rirs_for)
 from .audio_io import AudioBuffer
 from .rng import SeededRng
 from .scene import SceneSpec, SourceSpec
@@ -24,7 +24,7 @@ ACTIVITY_THRESHOLD_DBFS = -40.0
 MIN_SEGMENT_S = 1.0
 TARGET_CLIP_S = 10.0
 MOVING_HOP_S = 0.01
-_GRAIN_BATCH = 32  # single-grain runs sharing one transform size
+_JOB_GRAINS_ANECHOIC = 32  # single-grain runs per job outdoors
 _JOB_GRAINS = 8  # single-grain runs per job in a room: one batched RIR build, one stacked FFT
 # threads rendering one moving source, the calling thread included; worker
 # processes of a multi-process synthesize set it to 1
@@ -138,21 +138,19 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
     at j*hop, so an instant source's jump crossfades over the first grain
     boundary at or after its jump time. Consecutive grains at the same
     position form a run, whose input is faded in and out at its ends and
-    convolved once. Single-grain runs are convolved in stacks of
-    ``_GRAIN_BATCH`` sharing one transform size, set by the stack's longest
-    response; response lengths follow from the positions, so it is known
-    before any response is built.
+    convolved once.
 
     The work is cut into jobs: one multi-grain run, whose response
-    ``stereo_rir_for`` builds on the calling thread, or single-grain runs of
-    one stack, whose responses come from one ``stereo_rirs_for`` batch. In a
-    room, a job takes ``_JOB_GRAINS`` of a stack's grains, and jobs run on
+    ``stereo_rir_for`` builds on the calling thread, or consecutive
+    single-grain runs, whose responses come from one ``stereo_rirs_for``
+    batch and are convolved in one stack. A job takes up to
+    ``_JOB_GRAINS`` single grains in a room, where jobs run on
     ``RENDER_THREADS`` threads, the calling thread included, one job per
-    thread at a time; anechoic scenes run one job per stack on the calling
-    thread alone. The calling thread adds the results in a fixed order, so
-    the output bytes do not depend on the thread count. Responses are
-    dropped once their job is added. A still source is one static
-    convolution.
+    thread at a time; anechoic jobs take up to ``_JOB_GRAINS_ANECHOIC`` and
+    run on the calling thread alone. The calling thread adds the results in
+    a fixed order, so the output bytes do not depend on the thread count.
+    Responses are dropped once their job is added. A still source is one
+    static convolution; grains need a sample rate above 50 Hz.
     """
     if mono.channels != 1:
         raise RenderError("render_moving expects a mono buffer")
@@ -166,6 +164,9 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
     fs = scene.sample_rate
     n = mono.n_samples
     hop = int(round(MOVING_HOP_S * fs))
+    if hop < 1:
+        raise RenderError(f"a {source.movement} source cannot render at {fs} Hz: its "
+                          f"{MOVING_HOP_S * 1e3:g} ms grains round to no sample")
     x = np.asarray(mono.data, dtype=np.float64)
     n_grains = int(np.ceil(n / hop))
     ramp = _ramp(hop)
@@ -173,12 +174,10 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
     keys = np.round(positions, 9)
     firsts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
     lasts = np.r_[firsts[1:], n_grains] - 1
-    singles = firsts[firsts == lasts]
-    taps = dict(zip(singles.tolist(), stereo_rir_lengths(scene, positions[singles]).tolist()))
 
     # a job is made on the calling thread and returns the task the pool runs
-    def grains_task(grains, nfft):
-        return partial(_convolve_grains, x, ramp, grains, scene, positions[grains], nfft)
+    def grains_task(grains):
+        return partial(_convolve_grains, x, ramp, grains, scene, positions[grains])
 
     def run_task(j0, j1):
         rir = stereo_rir_for(scene, positions[j0])
@@ -186,27 +185,21 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
 
     # a direct-path response takes tens of microseconds, mostly interpreter
     # time, so a second thread would only contend for the interpreter lock;
-    # on one thread, splitting a stack into jobs only adds calls
+    # on one thread, smaller jobs would only add calls
     threads = 1 if scene.anechoic else RENDER_THREADS
-    job_grains = _GRAIN_BATCH if scene.anechoic else _JOB_GRAINS
+    job_grains = _JOB_GRAINS_ANECHOIC if scene.anechoic else _JOB_GRAINS
     jobs = []
-
-    def add_stack(stack):
-        nfft = next_fast_len(2 * hop + max(taps[j] for j in stack) - 1)
-        for i in range(0, len(stack), job_grains):
-            jobs.append(partial(grains_task, stack[i:i + job_grains], nfft))
-
-    stack = []
+    grains = []
     for j0, j1 in zip(firsts.tolist(), lasts.tolist()):
         if j0 < j1:
             jobs.append(partial(run_task, j0, j1))
             continue
-        stack.append(j0)
-        if len(stack) == _GRAIN_BATCH:
-            add_stack(stack)
-            stack = []
-    if stack:
-        add_stack(stack)
+        grains.append(j0)
+        if len(grains) == job_grains:
+            jobs.append(partial(grains_task, grains))
+            grains = []
+    if grains:
+        jobs.append(partial(grains_task, grains))
 
     out = np.zeros((n, 2))
     for segments in _run_jobs(jobs, threads):
@@ -255,12 +248,13 @@ def _convolve_run(x, ramp, j0, j1, rir):
     return [(start, stereo_convolve(seg_in, rir.samples))]
 
 
-def _convolve_grains(x, ramp, grains, scene, positions, nfft):
+def _convolve_grains(x, ramp, grains, scene, positions):
     """[(start, (2, L) segment)] per single grain, each through the response
-    at its position, built in one batch and convolved at transform size nfft."""
+    at its position, built in one batch and convolved in one stack."""
     hop = ramp.size
     rirs = stereo_rirs_for(scene, positions)
     taps = max(rir.length for rir in rirs)
+    nfft = next_fast_len(2 * hop + taps - 1)
     inputs = np.zeros((len(grains), 2 * hop))
     kernels = np.zeros((len(grains), 2, taps))
     for i, (j, rir) in enumerate(zip(grains, rirs)):

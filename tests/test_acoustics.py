@@ -9,7 +9,6 @@ from stereoscene.acoustics import (
     FRAC_DELAY_TAPS,
     MIN_SPREAD_DIST,
     SPEED_OF_SOUND,
-    AbsorptionSet,
     AcousticsError,
     RirKernel,
     compute_rir,
@@ -42,7 +41,7 @@ from conftest import open_field_scene, polar_pos, still_source
 # RT60 <-> absorption
 # ---------------------------------------------------------------------------
 def test_eyring_value_10m_cube():
-    alpha = rt60_to_absorption(0.5, (10.0, 10.0, 10.0)).coefficients[0]
+    alpha = rt60_to_absorption(0.5, (10.0, 10.0, 10.0))
     coeff = 24.0 * math.log(10.0) / 343.0
     expected = 1.0 - math.exp(-coeff * 1000.0 / (600.0 * 0.5))
     assert abs(alpha - expected) < 1e-12
@@ -71,20 +70,10 @@ def test_rt60_must_be_positive():
         rt60_to_absorption(0.0, (5.0, 5.0, 5.0))
 
 
-def test_absorption_set_bounds():
-    with pytest.raises(AcousticsError):
-        AbsorptionSet.uniform(0.0)
-    with pytest.raises(AcousticsError):
-        AbsorptionSet.uniform(1.2)
-
-
-def test_absorption_set_from_list_builds_same_rir():
-    # the set keys the cached image lattice, so a list must work like a tuple
-    def rir(absorption):
-        return compute_rir((5.0, 6.0, 7.0), absorption, (1.0, 2.0, 3.0), (3.0, 3.0, 3.0))
-
-    assert np.array_equal(rir(AbsorptionSet([0.3] * 6)).samples,
-                          rir(AbsorptionSet.uniform(0.3)).samples)
+@pytest.mark.parametrize("alpha", [0.0, -0.1, 1.2, float("nan")])
+def test_absorption_out_of_range_rejected(alpha):
+    with pytest.raises(AcousticsError, match="absorption"):
+        compute_rir((5.0, 6.0, 7.0), alpha, (1.0, 2.0, 3.0), (3.0, 3.0, 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +103,7 @@ def test_coincident_source_mic_errors():
     with pytest.raises(AcousticsError):
         compute_rir((5.0, 5.0, 5.0), None, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(AcousticsError):
-        compute_rir((5.0, 5.0, 5.0), AbsorptionSet.uniform(0.3),
-                    [2.0, 2.0, 2.0], [2.0, 2.0, 2.0])
+        compute_rir((5.0, 5.0, 5.0), 0.3, [2.0, 2.0, 2.0], [2.0, 2.0, 2.0])
 
 
 def test_source_grazing_a_mic_renders():
@@ -194,7 +182,7 @@ def _reference_compute_rir(dims, absorption, src, mic_pos, fs=16000):
     n_samples = int(round(length_s * fs)) + FRAC_DELAY_TAPS
     max_dist = (n_samples + FRAC_DELAY_TAPS) / fs * SPEED_OF_SOUND
     orders = np.ceil(max_dist / (2.0 * dims)).astype(np.int64)
-    beta = absorption.reflection_factors
+    beta = np.full(6, np.sqrt(1.0 - absorption))
     ax = [np.arange(-orders[k], orders[k] + 1, dtype=np.int64) for k in range(3)]
     grid = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 3)
     h = np.zeros((mics.shape[0], n_samples))
@@ -298,7 +286,7 @@ def test_outdoor_mode_equals_full_absorption_ism():
              ([3.0, 47.0, 1.5], pair)]
     for src, mic in cases:
         free = compute_rir(dims, None, src, mic, fs=16000)
-        full = compute_rir(dims, AbsorptionSet.uniform(1.0), src, mic, fs=16000)
+        full = compute_rir(dims, 1.0, src, mic, fs=16000)
         n = min(free.length, full.length)
         assert np.array_equal(free.samples[:, :n], full.samples[:, :n])
 
@@ -326,7 +314,7 @@ def test_energy_monotone_in_absorption():
     mic = [5.0, 4.0, 3.0]
     energies = []
     for alpha in (0.2, 0.4, 0.6, 0.8, 1.0):
-        rir = compute_rir(dims, AbsorptionSet.uniform(alpha), src, mic, fs=16000)
+        rir = compute_rir(dims, alpha, src, mic, fs=16000)
         energies.append(float(np.sum(rir.samples[0] ** 2)))
     assert all(e1 >= e2 for e1, e2 in zip(energies, energies[1:]))
 

@@ -190,15 +190,20 @@ def test_render_scene_with_rir_export(workspace, dataset, tmp_path, capsys):
     assert rir.channels == 1 and np.any(rir.data)
 
 
-@pytest.mark.parametrize("defect", ["fmt chunk shorter than declared", "No such file"])
+@pytest.mark.parametrize("defect", ["fmt chunk shorter than declared", "No such file",
+                                    "non-finite sample(s)"])
 def test_render_scene_unreadable_audio_exits_two(workspace, tmp_path, capsys, defect):
     _, clip, _ = workspace
     record = parse_caption("A dog barks on the left, outdoors.")
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(sample_scene(record, SeededRng(1)).to_json())
     bad = tmp_path / "bad.wav"
-    if defect != "No such file":
+    if defect == "fmt chunk shorter than declared":
         bad.write_bytes(clip.read_bytes()[:30])
+    elif defect == "non-finite sample(s)":
+        data = read_wav(clip).data.copy()
+        data[1000:1100] = np.nan
+        write_wav(bad, AudioBuffer(data, 16000))
     assert main(["render-scene", "--scene", str(scene_path), "--audio", str(bad),
                  "--out", str(tmp_path / "out.wav")]) == 2
     err = capsys.readouterr().err
@@ -210,11 +215,14 @@ def test_render_scene_unreadable_audio_exits_two(workspace, tmp_path, capsys, de
                                     "string angle", "two room dims", "NaN",
                                     "source on a capsule", "zero sample rate",
                                     "negative sample rate", "zero duration",
-                                    "negative duration", "sub-sample duration"])
+                                    "negative duration", "sub-sample duration",
+                                    "moving at 40 Hz"])
 def test_render_scene_malformed_scene_exits_two(workspace, tmp_path, capsys, defect):
     _, clip, _ = workspace
     scene = json.loads(sample_scene(parse_caption("A dog barks on the left, outdoors."),
                                     SeededRng(1)).to_json())
+    moving = sample_scene(parse_caption("A siren moves from left to front right quickly, "
+                                        "outdoors."), SeededRng(1))
     center, half = scene["mic_array"]["center"], scene["mic_array"]["half_spacing"]
     capsule = [center[0], center[1] - half, center[2]]
 
@@ -235,6 +243,8 @@ def test_render_scene_malformed_scene_exits_two(workspace, tmp_path, capsys, def
         "zero duration": (json.dumps(dict(scene, duration=0)), "duration"),
         "negative duration": (json.dumps(dict(scene, duration=-1)), "duration"),
         "sub-sample duration": (json.dumps(dict(scene, duration=1e-9)), "duration"),
+        "moving at 40 Hz": (json.dumps(dict(json.loads(moving.to_json()), sample_rate=40)),
+                            "40 Hz"),
     }[defect]
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(text)
@@ -243,6 +253,16 @@ def test_render_scene_malformed_scene_exits_two(workspace, tmp_path, capsys, def
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "out.wav").exists()
+
+
+@pytest.mark.parametrize("given", ["--external-gen", "--external-ref"])
+def test_evaluate_one_external_dir_exits_two(dataset, tmp_path, capsys, given):
+    # one embedding directory alone used to be ignored, and the built-in
+    # embedder scored instead
+    assert main(["evaluate", "--generated", str(dataset), "--reference", str(dataset),
+                 given, str(tmp_path)]) == 2
+    missing = ({"--external-gen", "--external-ref"} - {given}).pop()
+    assert missing in capsys.readouterr().err
 
 
 def test_bad_subcommand_exit_two():

@@ -1,4 +1,8 @@
+import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 from stereoscene import acoustics, pipeline, render
 
@@ -21,3 +25,22 @@ def test_tracer_wrap_points_resolve(monkeypatch):
         tracer.uninstall()
     assert render.stereo_rir_for is acoustics.stereo_rir_for
     assert pipeline.render_moving is render.render_moving
+
+
+def _benchmark_imports():
+    """(file, module, name) for each ``from stereoscene... import name`` in perfbench."""
+    found = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "stereoscene":
+                found.update((path.name, node.module, alias.name) for alias in node.names)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source,module,name", _benchmark_imports())
+def test_benchmark_imports_resolve(source, module, name):
+    # the benchmark runs the program through these names, so removing one
+    # fails here, not only in a benchmark run
+    owner = importlib.import_module(module)
+    if not hasattr(owner, name):
+        importlib.import_module(f"{module}.{name}")  # raises if no such submodule

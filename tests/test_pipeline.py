@@ -395,7 +395,23 @@ def test_zeroed_matrix_column_flagged(synthesized, tmp_path):
         broken / row["coarse_matrix"])
     report = validate(broken)
     kinds = {v["kind"] for v in report.violations if v["id"] == row["id"]}
-    assert "matrix_normalization" in kinds
+    assert "matrix_mismatch" in kinds
+
+
+def test_matrices_of_another_clip_flagged(synthesized, tmp_path):
+    # normalized and one-hot, but built for another scene
+    out, index = synthesized
+    import shutil
+
+    broken = tmp_path / "swapped"
+    shutil.copytree(out, broken)
+    row, other = index.rows[0], index.rows[1]
+    for key in ("coarse_matrix", "fine_matrix"):
+        for suffix in ("", ".json"):
+            shutil.copyfile(out / (other[key] + suffix), broken / (row[key] + suffix))
+    report = validate(broken)
+    assert [(v["id"], v["kind"]) for v in report.violations] == [
+        (row["id"], "matrix_mismatch")] * 2
 
 
 def test_missing_index_reported(tmp_path):

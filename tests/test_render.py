@@ -288,10 +288,25 @@ def test_render_moving_rejects_stereo_input(src, noise_clip):
         render_moving(stereo, open_field_scene([src]), src)
 
 
-def test_moving_render_bytes_independent_of_jobs_and_threads(noise_clip, monkeypatch):
-    # one job per 32-grain stack on one thread is the unsplit render; smaller
-    # jobs keep their stack's transform size, so every split gives its bytes.
-    # Receding from 0.5 m to 4.9 m, the source's RIR lengths vary within a stack.
+@pytest.mark.parametrize("movement", ["moving", "instant"])
+def test_grains_below_50_hz_raise_render_error(movement):
+    # 10 ms grains round to 0 samples at 40 Hz
+    src = replace(moving_source(30.0, 150.0, 15.0), movement=movement, instant_time=5.0)
+    scene = replace(open_field_scene([src]), sample_rate=40)
+    with pytest.raises(RenderError, match="40 Hz"):
+        render_moving(AudioBuffer(np.ones(400), 40), scene, src)
+
+
+def test_still_source_renders_at_40_hz():
+    src = still_source(30.0, 15.0)
+    scene = replace(open_field_scene([src]), sample_rate=40)
+    out = render_moving(AudioBuffer(np.ones(400), 40), scene, src)
+    assert out.data.shape == (400, 2) and np.all(np.isfinite(out.data))
+
+
+def test_moving_render_bytes_independent_of_threads(noise_clip, monkeypatch):
+    # jobs are added in a fixed order whichever thread ran them. Receding from
+    # 0.5 m to 4.9 m, the source's RIR lengths vary within a job.
     mic = MicArray(center=(4.0, 4.0, 2.0), half_spacing=0.085)
     src = SourceSpec(start_pos=(4.0, 4.6, 2.0), end_pos=(7.5, 7.5, 2.0), angle=0.0,
                      distance=0.6, movement="moving", end_angle=45.0, end_distance=4.9,
@@ -300,8 +315,7 @@ def test_moving_render_bytes_independent_of_jobs_and_threads(noise_clip, monkeyp
                       duration=2.0, sample_rate=16000)
     clip = AudioBuffer(noise_clip.data[:16000 * 2], 16000)
     outs = []
-    for job_grains, threads in ((render._GRAIN_BATCH, 1), (8, 2), (3, 2)):
-        monkeypatch.setattr(render, "_JOB_GRAINS", job_grains)
+    for threads in (1, 2, 3):
         monkeypatch.setattr(render, "RENDER_THREADS", threads)
         outs.append(render_moving(clip, scene, src).data)
     assert np.array_equal(outs[1], outs[0])

@@ -20,7 +20,7 @@ from .scene import SceneSpec
 def _cmd_synthesize(args) -> int:
     try:
         manifest = pipeline.read_manifest(args.manifest)
-    except (OSError, pipeline.ManifestError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     index = pipeline.synthesize(
@@ -63,11 +63,7 @@ def _cmd_evaluate(args) -> int:
         print(f"error: external embeddings need {missing} as well", file=sys.stderr)
         return 2
     ext = (args.external_gen, args.external_ref) if args.external_gen else None
-    try:
-        report = pipeline.evaluate(args.generated, args.reference, external_embeddings=ext)
-    except (pipeline.ManifestError, metrics.MetricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = pipeline.evaluate(args.generated, args.reference, external_embeddings=ext)
     if not _save_report(report, args.out_json):
         return 2
     print(f"{'metric':<10} {'value':>10}")
@@ -191,7 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (pipeline.ManifestError, metrics.MetricError) as exc:  # bad input files
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .acoustics import next_fast_len
 from .audio_io import AudioBuffer
+from .scene import ValidationError, _json_value
 
 TDOA_WINDOW_S = 0.1
 SILENCE_GATE_DBFS = -16.0
@@ -25,12 +27,6 @@ EMBED_DIM = 2560
 _EMBED_LAGS = 64
 _EMBED_BANDS = 8
 _EMBED_TIME_BUCKETS = 16
-# Rows per BLAS product of the GCC-PHAT lag evaluation. On one OpenBLAS
-# thread, rows 12-15 of a 16-row product (and some of a 32-row one) round
-# differently from the rest; on two threads, 48- and 64-row products do.
-# 12-row products round every row alike on one or two threads, so a frame's
-# bits do not depend on its position in the stack.
-GCC_TILE_ROWS = 12
 
 
 class MetricError(ValueError):
@@ -41,67 +37,47 @@ class MetricError(ValueError):
 # GCC-PHAT
 # ---------------------------------------------------------------------------
 @lru_cache(maxsize=4)
-def _lag_basis(nfft: int, interp: int, max_shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine and sine rows that turn a half spectrum into lags 0..max_shift.
+def _lag_chirp(nfft: int, max_shift: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bluestein's chirp-z for lags -S..S (S = max_shift) of ``irfft(g, n=m)``.
 
-    Lag l of ``irfft(g, n=nfft * interp)`` is ``sum_k w_k (re_k cos - im_k sin)``
-    at phase 2 pi k l / (nfft * interp), with weight w_k = 2 except for bin 0
-    and the transform's own Nyquist bin (weight 1). The basis carries w_k and
-    the 1 / (nfft * interp) scale; it is (nfft/2 + 1) x (max_shift + 1).
+    With m = nfft * GCC_INTERP, lag l is Re sum_k w_k g_k e^(2 pi i k l / m),
+    w_0 = 1/m and w_k = 2/m above. As kl = (k^2 + l^2 - (l - k)^2) / 2, that is
+    the lag chirp e^(i pi l^2 / m) times the convolution of w_k g_k e^(i pi k^2 / m)
+    with the conjugate chirp. Returns the bin factors, the spectrum of the
+    conjugate chirp over l - k = -S-K+1..S, shifted so that output index p holds
+    lag p - S, and the lag chirp.
     """
-    m = nfft * interp
+    m = nfft * GCC_INTERP
     bins = np.arange(nfft // 2 + 1)
-    weight = np.where((bins == 0) | (2 * bins == m), 1.0, 2.0) / m
-    phase = np.multiply.outer(bins, np.arange(max_shift + 1))
-    phase %= m  # exact integer reduction keeps the angles in [0, 2 pi)
-    angle = phase * (2.0 * np.pi / m)
-    cos = np.cos(angle)
-    cos *= weight[:, None]
-    sin = np.sin(angle, out=angle)
-    sin *= weight[:, None]
-    return cos, sin
+    size = next_fast_len(bins.size + 2 * max_shift)
+
+    def chirp(n):  # e^(i pi n^2 / m); exact integer reduction keeps the angles in [0, 2 pi)
+        return np.exp(1j * np.pi / m * (n * n % (2 * m)))
+
+    weight = np.where(bins == 0, 1.0, 2.0) / m
+    shifts = np.arange(1 - bins.size, 2 * max_shift + 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[shifts % size] = chirp(shifts - max_shift).conj()
+    return weight * chirp(bins), np.fft.fft(kernel), chirp(np.arange(-max_shift, max_shift + 1))
 
 
-def _lag_products(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``x @ basis`` for a (..., K) frame or stack, in GCC_TILE_ROWS-row products.
-
-    Every BLAS call has the same (GCC_TILE_ROWS, K) @ (K, L) shape; only the
-    last tile is zero-padded.
-    """
-    flat = x.reshape(-1, x.shape[-1])
-    n = flat.shape[0]
-    rows = -(-n // GCC_TILE_ROWS) * GCC_TILE_ROWS
-    padded = np.zeros((rows, flat.shape[1]))
-    padded[:n] = flat
-    out = np.empty((rows, basis.shape[1]))
-    for i in range(0, rows, GCC_TILE_ROWS):
-        np.matmul(padded[i:i + GCC_TILE_ROWS], basis, out=out[i:i + GCC_TILE_ROWS])
-    return out[:n].reshape(x.shape[:-1] + basis.shape[1:])
-
-
-def gcc_phat_correlation(frame_left, frame_right, fs: int,
-                         max_lag_s: float = MAX_LAG_S, interp: int = GCC_INTERP):
-    """PHAT-whitened cross-correlation over +-max_lag_s.
+def gcc_phat_correlation(frame_left, frame_right, fs: int):
+    """PHAT-whitened cross-correlation over +-MAX_LAG_S.
 
     Frames are 1-D, or 2-D stacks with one frame per row. Returns
-    (lags_seconds, correlation) with the lags on the last axis. The
-    correlation equals the ``interp``-times zero-padded inverse transform of
-    the PHAT spectrum, but only the kept lags are evaluated: with the
-    spectrum's even part E = re @ cos and odd part O = im @ sin, lag +l is
-    E - O and lag -l is E + O. ``re`` is symmetric and ``im`` antisymmetric
-    in the two channels bit for bit, so swapping the channels reverses the
-    lag axis exactly. Both parts are computed in fixed GCC_TILE_ROWS-row
-    matrix products (a 1-D frame is one zero-padded tile), so a frame's
-    result does not depend on the stack it arrives in. A frame with an
-    all-zero channel has no PHAT spectrum and raises ``MetricError``.
+    (lags_seconds, correlation) with the lags on the last axis: the kept lags
+    of the GCC_INTERP-times zero-padded inverse transform of the PHAT
+    spectrum, by one chirp-z convolution per frame. FFTs alone compute it, so a
+    frame's bits depend neither on its stack nor on the BLAS thread count. A
+    frame with an all-zero channel has no PHAT spectrum and raises MetricError.
     """
     a = np.asarray(frame_left, dtype=np.float64)
     b = np.asarray(frame_right, dtype=np.float64)
     if a.shape != b.shape or a.ndim not in (1, 2):
         raise MetricError("frames must be equal-shape 1-D frames or 2-D stacks of frames")
-    max_shift = int(round(max_lag_s * fs * interp))
-    if a.shape[-1] * interp < 2 * max_shift:
-        raise MetricError("frame too short for the requested lag range")
+    max_shift = int(round(MAX_LAG_S * fs * GCC_INTERP))
+    if a.shape[-1] * GCC_INTERP < 2 * max_shift:
+        raise MetricError("frame too short for the lag range")
     if not np.all(np.any(a, axis=-1) & np.any(b, axis=-1)):
         raise MetricError("frame with an all-zero channel (gate silence upstream)")
     nfft = 2 * a.shape[-1]
@@ -113,18 +89,22 @@ def gcc_phat_correlation(frame_left, frame_right, fs: int,
     mag = np.maximum(np.hypot(re, im), PHAT_EPS)
     re /= mag
     im /= mag
-    cos, sin = _lag_basis(nfft, interp, max_shift)
-    even = _lag_products(re, cos)
-    odd = _lag_products(im, sin)
-    cc = np.concatenate([(even + odd)[..., :0:-1], even - odd], axis=-1)
-    lags = np.arange(-max_shift, max_shift + 1) / (fs * interp)
+    pre, kernel, post = _lag_chirp(nfft, max_shift)
+    buf = np.zeros(a.shape[:-1] + kernel.shape, dtype=complex)
+    head = buf[..., :pre.size]
+    head.real, head.imag = re, im
+    head *= pre
+    np.fft.fft(buf, out=buf)
+    buf *= kernel
+    np.fft.ifft(buf, out=buf)
+    cc = (buf[..., :post.size] * post).real
+    lags = np.arange(-max_shift, max_shift + 1) / (fs * GCC_INTERP)
     return lags, cc
 
 
-def gcc_phat(frame_left, frame_right, fs: int, max_lag_s: float = MAX_LAG_S,
-             interp: int = GCC_INTERP) -> float:
+def gcc_phat(frame_left, frame_right, fs: int) -> float:
     """TDOA in seconds via the interpolated GCC-PHAT peak."""
-    lags, cc = gcc_phat_correlation(frame_left, frame_right, fs, max_lag_s, interp)
+    lags, cc = gcc_phat_correlation(frame_left, frame_right, fs)
     return float(lags[int(np.argmax(np.abs(cc)))])
 
 
@@ -346,11 +326,20 @@ def default_embed(stereo: AudioBuffer) -> np.ndarray:
 # External embeddings (alternate-embedder hook) and reports
 # ---------------------------------------------------------------------------
 def load_embedding_file(path) -> tuple[np.ndarray, dict]:
-    """Float32 binary + JSON sidecar; returns (vector, sidecar_metadata)."""
+    """Float32 binary + JSON sidecar; returns (vector, sidecar_metadata). A
+    malformed sidecar (``shape`` not integers, ``mean_tdoa_ms`` not a finite
+    number) raises MetricError naming it."""
     path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+    sidecar_path = path.with_suffix(path.suffix + ".json")
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+        if not isinstance(sidecar, dict):
+            raise ValidationError("not a JSON object")
+        shape = _json_value(tuple[int, ...] | None, sidecar.get("shape"), "shape")
+        _json_value(float | None, sidecar.get("mean_tdoa_ms"), "mean_tdoa_ms")
+    except (OSError, ValueError) as exc:
+        raise MetricError(f"{sidecar_path}: {exc}") from exc
     vec = np.fromfile(path, dtype=np.float32).astype(np.float64)
-    shape = sidecar.get("shape")
     if shape and int(np.prod(shape)) != vec.size:
         raise MetricError(f"embedding size {vec.size} does not match sidecar {shape}")
     return vec, sidecar

@@ -70,22 +70,32 @@ class ManifestEntry:
             ManifestEntry, d, {"clip_id": "id", "audio_paths": "audio"}, subset="SS"))
 
 
-def read_manifest(path) -> list[ManifestEntry]:
-    entries = []
-    seen = set()
+def _read_jsonl(path, parse) -> list:
+    """``parse`` of each JSON line of ``path``, skipping blank and ``#`` lines;
+    a malformed line raises ManifestError naming ``path:line``."""
+    records = []
     for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            entry = ManifestEntry.from_dict(json.loads(line))
+            records.append(parse(json.loads(line)))
         except (json.JSONDecodeError, ManifestError, ValidationError) as exc:
             raise ManifestError(f"{path}:{line_no}: {exc}") from exc
+    return records
+
+
+def read_manifest(path) -> list[ManifestEntry]:
+    seen = set()
+
+    def parse(obj) -> ManifestEntry:
+        entry = ManifestEntry.from_dict(obj)
         if entry.clip_id in seen:
-            raise ManifestError(f"{path}:{line_no}: duplicate clip id {entry.clip_id!r}")
+            raise ManifestError(f"duplicate clip id {entry.clip_id!r}")
         seen.add(entry.clip_id)
-        entries.append(entry)
-    return entries
+        return entry
+
+    return _read_jsonl(path, parse)
 
 
 @dataclass
@@ -100,8 +110,7 @@ class DatasetIndex:
 
     @staticmethod
     def load(path) -> "DatasetIndex":
-        rows = [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
-        return DatasetIndex(rows=rows)
+        return DatasetIndex(rows=_read_jsonl(path, lambda row: row))
 
 
 def _check_subset_rules(entry: ManifestEntry, record: AttributeRecord) -> None:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -263,6 +264,89 @@ def test_evaluate_one_external_dir_exits_two(dataset, tmp_path, capsys, given):
                  given, str(tmp_path)]) == 2
     missing = ({"--external-gen", "--external-ref"} - {given}).pop()
     assert missing in capsys.readouterr().err
+
+
+def _truncated_copy(dataset, tmp_path):
+    """A copy of ``dataset`` whose index.jsonl lost 20 bytes off its last line."""
+    out = tmp_path / "ds"
+    shutil.copytree(dataset, out)
+    index = out / "index.jsonl"
+    index.write_bytes(index.read_bytes()[:-21] + b"\n")
+    return out, len(index.read_text().splitlines())
+
+
+def test_validate_truncated_index_exits_two(dataset, tmp_path, capsys):
+    out, last = _truncated_copy(dataset, tmp_path)
+    assert main(["validate", "--dataset", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out / 'index.jsonl'}:{last}: ")
+
+
+def test_evaluate_truncated_index_exits_two(dataset, tmp_path, capsys):
+    out, last = _truncated_copy(dataset, tmp_path)
+    assert main(["evaluate", "--generated", str(out / "index.jsonl"),
+                 "--reference", str(dataset)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out / 'index.jsonl'}:{last}: ")
+
+
+@pytest.mark.parametrize("sidecar", ['{"shape": [4', '{"shape": [4], "mean_tdoa_ms": "x"}'],
+                         ids=["truncated", "string_tdoa"])
+def test_evaluate_malformed_embedding_sidecar_exits_two(dataset, tmp_path, capsys, sidecar):
+    for side in ("gen", "ref"):
+        for name in ("a", "b"):
+            (tmp_path / side).mkdir(exist_ok=True)
+            (tmp_path / side / f"{name}.bin").write_bytes(np.ones(4, np.float32).tobytes())
+            (tmp_path / side / f"{name}.bin.json").write_text('{"shape": [4]}')
+    (tmp_path / "ref" / "b.bin.json").write_text(sidecar)
+    assert main(["evaluate", "--generated", str(dataset), "--reference", str(dataset),
+                 "--external-gen", str(tmp_path / "gen"),
+                 "--external-ref", str(tmp_path / "ref")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'ref' / 'b.bin.json'}: ")
+
+
+_EVALUATE_RUN = r"""
+import sys
+from stereoscene.cli import main
+sys.exit(main(["evaluate", "--generated", sys.argv[1], "--reference", sys.argv[2],
+               "--out-json", sys.argv[3]]))
+"""
+
+
+def test_evaluate_report_bytes_independent_of_blas_threads(tmp_path):
+    # 4 SS and 4 DS outdoor pairs; before the lags came from FFTs alone, the
+    # SS fsad of this set differed in its last digits between 1 and 2 threads
+    clip = tmp_path / "noise.wav"
+    write_wav(clip, AudioBuffer(np.random.default_rng(4).standard_normal(16000 * 12) * 0.3,
+                                16000))
+    directions = ("left", "front_left", "front", "front_right", "right")
+
+    def source(i):
+        return {"event": "a noise", "direction_label": directions[i % 5],
+                "distance_label": ("far", "moderate", "near")[i % 3], "movement": "still"}
+
+    entries = [{"id": f"ss{i}", "subset": "SS", "audio": [str(clip)],
+                "attributes": {"scene_size": "outdoors", "sources": [source(i)]}}
+               for i in range(4)]
+    entries += [{"id": f"ds{i}", "subset": "DS", "audio": [str(clip), str(clip)],
+                 "attributes": {"scene_size": "outdoors",
+                                "sources": [source(i), source(i + 2)]}}
+                for i in range(4)]
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    for name, seed in (("gen", "1"), ("ref", "2")):
+        assert main(["synthesize", "--manifest", str(manifest), "--out",
+                     str(tmp_path / name), "--seed", seed]) == 0
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(src_dir))
+        out = tmp_path / f"report{threads}.json"
+        subprocess.run([sys.executable, "-c", _EVALUATE_RUN, str(tmp_path / "gen"),
+                        str(tmp_path / "ref"), str(out)],
+                       env=env, capture_output=True, text=True, timeout=300, check=True)
+        reports.append(out.read_bytes())
+    assert set(json.loads(reports[0])["by_subset"]) == {"SS", "DS"}
+    assert reports[0] == reports[1]
 
 
 def test_bad_subcommand_exit_two():

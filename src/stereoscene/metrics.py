@@ -41,11 +41,12 @@ def _lag_chirp(nfft: int, max_shift: int) -> tuple[np.ndarray, np.ndarray, np.nd
     """Bluestein's chirp-z for lags -S..S (S = max_shift) of ``irfft(g, n=m)``.
 
     With m = nfft * GCC_INTERP, lag l is Re sum_k w_k g_k e^(2 pi i k l / m),
-    w_0 = 1/m and w_k = 2/m above. As kl = (k^2 + l^2 - (l - k)^2) / 2, that is
-    the lag chirp e^(i pi l^2 / m) times the convolution of w_k g_k e^(i pi k^2 / m)
-    with the conjugate chirp. Returns the bin factors, the spectrum of the
-    conjugate chirp over l - k = -S-K+1..S, shifted so that output index p holds
-    lag p - S, and the lag chirp.
+    w_k = 1/m at k = 0 and k = m/2 and 2/m elsewhere. As
+    kl = (k^2 + l^2 - (l - k)^2) / 2, that is the lag chirp e^(i pi l^2 / m)
+    times the convolution of w_k g_k e^(i pi k^2 / m) with the conjugate chirp.
+    Returns the bin factors, the spectrum of the conjugate chirp over
+    l - k = -S-K+1..S, shifted so that output index p holds lag p - S, and the
+    lag chirp.
     """
     m = nfft * GCC_INTERP
     bins = np.arange(nfft // 2 + 1)
@@ -54,7 +55,7 @@ def _lag_chirp(nfft: int, max_shift: int) -> tuple[np.ndarray, np.ndarray, np.nd
     def chirp(n):  # e^(i pi n^2 / m); exact integer reduction keeps the angles in [0, 2 pi)
         return np.exp(1j * np.pi / m * (n * n % (2 * m)))
 
-    weight = np.where(bins == 0, 1.0, 2.0) / m
+    weight = np.where((bins == 0) | (2 * bins == m), 1.0, 2.0) / m
     shifts = np.arange(1 - bins.size, 2 * max_shift + 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[shifts % size] = chirp(shifts - max_shift).conj()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import linalg as sla
 
 from stereoscene.acoustics import render_static, stereo_rir_for
+from stereoscene import metrics
 from stereoscene.audio_io import AudioBuffer
 from stereoscene.metrics import (
     EMBED_DIM,
@@ -299,15 +300,7 @@ def _zero_padded_irfft_reference(a, b, fs, max_lag_s, interp):
     return 0.5 * (phat_lags(fa, fb) + phat_lags(fb, fa)[..., ::-1])
 
 
-@pytest.mark.parametrize("frame_s", [0.05, 0.1])
-@pytest.mark.parametrize("fs", [8000, 16000, 22050])
-def test_correlation_matches_zero_padded_irfft(fs, frame_s):
-    # the sizes give even and odd frames, and chirp-z grids of several lengths
-    frame = int(round(frame_s * fs))
-    rng = np.random.default_rng(fs + frame)
-    a = rng.standard_normal((6, frame))
-    b = np.roll(a, 5, axis=1) + 0.5 * rng.standard_normal((6, frame))
-    want = _zero_padded_irfft_reference(a, b, fs, MAX_LAG_S, GCC_INTERP)
+def _assert_matches_reference(a, b, fs, want):
     lags, cc = gcc_phat_correlation(a, b, fs)
     assert lags.size == cc.shape[1] == want.shape[1]
     assert np.max(np.abs(cc - want)) <= 1e-13
@@ -315,6 +308,48 @@ def test_correlation_matches_zero_padded_irfft(fs, frame_s):
     _, cc_1d = gcc_phat_correlation(a[2], b[2], fs)
     assert np.max(np.abs(cc_1d - want[2])) <= 1e-13
     assert np.argmax(np.abs(cc_1d)) == np.argmax(np.abs(want[2]))
+
+
+@pytest.fixture
+def lag_grid(monkeypatch):
+    """Sets the module's lag bound and interpolation factor for one test.
+
+    The chirp-z cache is keyed by transform size and lag count only, so it is
+    emptied on both sides of the test.
+    """
+    def set_grid(max_lag_s, interp):
+        monkeypatch.setattr(metrics, "MAX_LAG_S", max_lag_s)
+        monkeypatch.setattr(metrics, "GCC_INTERP", interp)
+
+    metrics._lag_chirp.cache_clear()
+    yield set_grid
+    metrics._lag_chirp.cache_clear()
+
+
+@pytest.mark.parametrize("frame", [800, 1600])
+@pytest.mark.parametrize("max_lag_s", [0.0005, 0.001])
+@pytest.mark.parametrize("interp", [1, 4, 16])
+def test_correlation_matches_zero_padded_irfft(lag_grid, interp, max_lag_s, frame):
+    # the chirp-z lags hold for any interpolation factor and lag bound, not
+    # only for the GCC_INTERP and MAX_LAG_S the metric uses
+    rng = np.random.default_rng(interp * 7 + frame)
+    a = rng.standard_normal((6, frame))
+    b = np.roll(a, 5, axis=1) + 0.5 * rng.standard_normal((6, frame))
+    want = _zero_padded_irfft_reference(a, b, 16000, max_lag_s, interp)
+    lag_grid(max_lag_s, interp)
+    _assert_matches_reference(a, b, 16000, want)
+
+
+@pytest.mark.parametrize("frame_s", [0.05, 0.1])
+@pytest.mark.parametrize("fs", [8000, 16000, 22050])
+def test_correlation_matches_zero_padded_irfft_at_rate(fs, frame_s):
+    # the sizes give even and odd frames, and chirp-z grids of several lengths
+    frame = int(round(frame_s * fs))
+    rng = np.random.default_rng(fs + frame)
+    a = rng.standard_normal((6, frame))
+    b = np.roll(a, 5, axis=1) + 0.5 * rng.standard_normal((6, frame))
+    want = _zero_padded_irfft_reference(a, b, fs, MAX_LAG_S, GCC_INTERP)
+    _assert_matches_reference(a, b, fs, want)
 
 
 # ---------------------------------------------------------------------------

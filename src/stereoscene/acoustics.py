@@ -125,17 +125,15 @@ def _frac_table() -> np.ndarray:
     return _FRAC_TABLE
 
 
-def _frac_delay_taps(delays_samples: np.ndarray):
-    """Windowed-sinc kernels for fractional ``delays_samples``.
-
-    Returns (start_index, kernel) with kernel shape (n, FRAC_DELAY_TAPS);
-    the kernel rows are fresh copies (fancy indexing) safe to scale in place.
-    """
+def _frac_delay_index(delays_samples: np.ndarray):
+    """(start_index, table_row) of the windowed-sinc kernel of each of the
+    fractional ``delays_samples``; the kernel is ``_frac_table()[table_row]``,
+    starting at sample ``start_index``."""
     half = FRAC_DELAY_TAPS // 2
     rounded = np.round(delays_samples)
     base = rounded.astype(np.int64) - half
     frac_idx = np.round((delays_samples - rounded + 0.5) * _FRAC_TABLE_STEPS).astype(np.int64)
-    return base, _frac_table()[frac_idx]
+    return base, frac_idx
 
 
 def _blocks(group_sizes):
@@ -178,15 +176,16 @@ def _place_impulses(lengths: np.ndarray, m: int, rows: np.ndarray, delays: np.nd
     flat = np.zeros(int(row_start[-1]))
     taps = np.arange(FRAC_DELAY_TAPS)
     for start, stop in _blocks(group_sizes):
-        base, kernel = _frac_delay_taps(delays[start:stop])
-        kernel *= amps[start:stop, None]
-        block_rows = rows[start:stop]
+        base, frac_idx = _frac_delay_index(delays[start:stop])
+        block_rows, block_amps = rows[start:stop], amps[start:stop]
         lo, hi = row_start[block_rows[0]], row_start[block_rows[-1] + 1]
-        offset = row_start[block_rows] - lo + pad + base
         reach = (base > -FRAC_DELAY_TAPS) & (base < row_len[block_rows])  # a tap lands in the row
         if not reach.all():
-            offset, kernel = offset[reach], kernel[reach]
-        idx = offset[:, None] + taps
+            base, frac_idx = base[reach], frac_idx[reach]
+            block_rows, block_amps = block_rows[reach], block_amps[reach]
+        kernel = _frac_table()[frac_idx]
+        kernel *= block_amps[:, None]
+        idx = (row_start[block_rows] - lo + pad + base)[:, None] + taps
         flat[lo:hi] += np.bincount(idx.ravel(), weights=kernel.ravel(), minlength=hi - lo)
     return [flat[row_start[g * m]:row_start[g * m + m]].reshape(m, -1)[:, pad:pad + n].copy()
             for g, n in enumerate(lengths.tolist())]

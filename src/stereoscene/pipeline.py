@@ -110,7 +110,17 @@ class DatasetIndex:
 
     @staticmethod
     def load(path) -> "DatasetIndex":
-        return DatasetIndex(rows=_read_jsonl(path, lambda row: row))
+        return DatasetIndex(rows=_read_jsonl(path, _index_row))
+
+
+def _index_row(row) -> dict:
+    """An index.jsonl row, refused unless it is an object with string "id" and "wav"."""
+    if not isinstance(row, dict):
+        raise ManifestError(f"index row must be a JSON object, got {type(row).__name__}")
+    for key in ("id", "wav"):
+        if not isinstance(row.get(key), str):
+            raise ManifestError(f"index row needs a string {key!r}, got {row.get(key)!r:.40}")
+    return row
 
 
 def _check_subset_rules(entry: ManifestEntry, record: AttributeRecord) -> None:

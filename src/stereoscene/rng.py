@@ -8,16 +8,14 @@ documented here as scheme version 1).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 
 def _derive_key(parent: bytes, label: str) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(parent)
-    h.update(label.encode("utf-8"))
-    return h.digest()
+    return hashlib.blake2b(parent + label.encode("utf-8"), digest_size=16).digest()
 
 
 class SeededRng:
@@ -25,6 +23,8 @@ class SeededRng:
 
     Identical seed and identical call sequence give identical outputs
     (bit-for-bit for a fixed numpy version, which pins its stream behaviour).
+    The generator is seeded on the first draw: a stream that only derives
+    children never pays for it.
     """
 
     def __init__(self, seed: int, _key: bytes | None = None):
@@ -32,9 +32,10 @@ class SeededRng:
         if _key is None:
             _key = _derive_key(b"stereoscene.v1", str(self.seed))
         self._key = _key
-        self._gen = np.random.Generator(
-            np.random.PCG64(int.from_bytes(self._key, "little"))
-        )
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(int.from_bytes(self._key, "little")))
 
     def child(self, label: str) -> "SeededRng":
         """Independent substream addressed by ``label`` under this stream."""
@@ -50,8 +51,9 @@ class SeededRng:
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size)
 
-    def choice(self, seq, size=None):
-        return self._gen.choice(seq, size)
+    def choice(self, seq):
+        """One element of ``seq``, drawn as ``Generator.choice(seq)`` draws it."""
+        return seq[int(self._gen.integers(0, len(seq)))]
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)

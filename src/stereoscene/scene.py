@@ -176,13 +176,11 @@ class MicArray:
 
     @property
     def left_pos(self) -> np.ndarray:
-        c = self.center
-        return np.array([c[0], c[1] - self.half_spacing, c[2]])
+        return np.array(_capsules(self.center, self.half_spacing)[0])
 
     @property
     def right_pos(self) -> np.ndarray:
-        c = self.center
-        return np.array([c[0], c[1] + self.half_spacing, c[2]])
+        return np.array(_capsules(self.center, self.half_spacing)[1])
 
     @property
     def spacing(self) -> float:
@@ -257,8 +255,10 @@ class SceneSpec:
     sample_rate: int = 16000
 
     def __post_init__(self):
-        dims = np.asarray(self.room_dims, dtype=np.float64)
-        if np.any(dims <= 0):
+        dims = self.room_dims
+        if len(dims) != 3:
+            raise ValidationError(f"room_dims needs 3 lengths, got {len(dims)}")
+        if any(d <= 0 for d in dims):
             raise ValidationError("room dimensions must be positive")
         if self.rt60 is not None and not (RT60_RANGE[0] <= self.rt60 <= RT60_RANGE[1]):
             raise ValidationError(f"rt60 {self.rt60} outside {RT60_RANGE}")
@@ -267,12 +267,12 @@ class SceneSpec:
         if round(self.duration * self.sample_rate) < 1:
             raise ValidationError(f"duration {self.duration} s holds no sample at "
                                   f"{self.sample_rate} Hz")
-        for pos in (self.mic_array.left_pos, self.mic_array.right_pos):
+        for pos in _capsules(self.mic_array.center, self.mic_array.half_spacing):
             if not _inside(pos, dims):
                 raise GeometryError(f"microphone at {pos} outside room {dims}")
         for src in self.sources:
             for pos in (src.start_pos, src.end_pos):
-                if not _inside(np.asarray(pos), dims):
+                if not _inside(pos, dims):
                     raise GeometryError(f"source at {pos} outside room {dims}")
 
     @property
@@ -336,8 +336,14 @@ def _json_value(hint, value, where: str):
     return value
 
 
-def _inside(pos: np.ndarray, dims: np.ndarray) -> bool:
-    return bool(np.all(pos > 0) and np.all(pos < dims))
+def _inside(pos, dims) -> bool:
+    return all(0 < p < d for p, d in zip(pos, dims))
+
+
+def _capsules(center, half_spacing: float) -> tuple[tuple, tuple]:
+    """The left and right capsule positions of MicArray, as float tuples."""
+    x, y, z = center
+    return (x, y - half_spacing, z), (x, y + half_spacing, z)
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +379,14 @@ def sample_mic_array(room_dims, rng: SeededRng, base_size: float) -> MicArray:
     spacing is U(0.08, 0.09) m. Jitter is redrawn (up to 100 tries) until both
     capsules sit strictly inside the room.
     """
-    dims = np.asarray(room_dims, dtype=np.float64)
     r = float(base_size)
     half_spacing = float(rng.uniform(*HALF_SPACING_RANGE))
     for _ in range(MAX_PLACEMENT_TRIES):
-        center = tuple(float(dims[i] / 2.0 + rng.uniform(-0.1 * r, 0.1 * r)) for i in range(3))
-        mic = MicArray(center=center, half_spacing=half_spacing)
-        if _inside(mic.left_pos, dims) and _inside(mic.right_pos, dims):
-            return mic
-    raise GeometryError(f"cannot place a {2 * half_spacing:.2f} m array inside room {dims}")
+        center = tuple(float(room_dims[i] / 2.0 + rng.uniform(-0.1 * r, 0.1 * r))
+                       for i in range(3))
+        if all(_inside(pos, room_dims) for pos in _capsules(center, half_spacing)):
+            return MicArray(center=center, half_spacing=half_spacing)
+    raise GeometryError(f"cannot place a {2 * half_spacing:.2f} m array inside room {room_dims}")
 
 
 def source_position(mic: MicArray, angle_deg: float, distance: float) -> np.ndarray:
@@ -392,9 +397,8 @@ def source_position(mic: MicArray, angle_deg: float, distance: float) -> np.ndar
 
 
 def max_source_distance(room_dims, mic: MicArray) -> float:
-    dims = np.asarray(room_dims, dtype=np.float64)
     m = mic.center
-    return float(min(dims[0] - m[0], dims[1] - m[1], m[0], m[1]))
+    return float(min(room_dims[0] - m[0], room_dims[1] - m[1], m[0], m[1]))
 
 
 def sample_source_placement(
@@ -407,7 +411,6 @@ def sample_source_placement(
     Distance is a label-dependent fraction of the free range toward the
     nearest wall. Draws are rejected until the position is strictly inside.
     """
-    dims = np.asarray(room_dims, dtype=np.float64)
     explicit = not isinstance(direction, str)
     if explicit:
         angle = float(direction)
@@ -424,20 +427,19 @@ def sample_source_placement(
 
     for _ in range(MAX_PLACEMENT_TRIES):
         if not explicit:
-            angle = float(
-                np.clip(rng.normal(DIRECTION_CENTERS[direction], DIRECTION_STD_DEG), 0.0, 180.0)
-            )
+            angle = min(max(rng.normal(DIRECTION_CENTERS[direction], DIRECTION_STD_DEG), 0.0),
+                        180.0)
         ratio = float(rng.uniform(*DISTANCE_RATIO_RANGES[distance_label]))
         dist = ratio * free
         pos = source_position(mic, angle, dist)
-        if dist > 0 and _inside(pos, dims):
+        if dist > 0 and _inside(pos, room_dims):
             return angle, dist, pos
     raise GeometryError("could not place source inside room after retries")
 
 
 def _pick_end_direction(start_label: str, rng: SeededRng) -> str:
     options = [lab for lab in DIRECTION_LABELS if lab != start_label]
-    return str(rng.choice(options))
+    return rng.choice(options)
 
 
 def build_trajectory(
@@ -508,22 +510,22 @@ def resolve_attributes(record: AttributeRecord, rng: SeededRng) -> AttributeReco
     """
     size = record.scene_size_label
     if size is None:
-        size = str(rng.child("size-fallback").choice(SIZE_LABELS))
+        size = rng.child("size-fallback").choice(SIZE_LABELS)
     sources = []
     for i, attrs in enumerate(record.sources):
         srng = rng.child(f"source{i}")
         updates = {}
         if attrs.direction_label is None and attrs.direction_degrees is None:
-            updates["direction_label"] = str(srng.child("dir-fallback").choice(DIRECTION_LABELS))
+            updates["direction_label"] = srng.child("dir-fallback").choice(DIRECTION_LABELS)
         if attrs.distance_label is None:
-            updates["distance_label"] = str(srng.child("dist-fallback").choice(DISTANCE_LABELS))
+            updates["distance_label"] = srng.child("dist-fallback").choice(DISTANCE_LABELS)
         if attrs.movement != "still" and attrs.end_direction_label is None \
                 and attrs.end_direction_degrees is None:
             start_label = attrs.direction_label or updates.get("direction_label")
             if start_label is None:
                 start_label = nearest_direction_label(attrs.direction_degrees)
             options = [lab for lab in DIRECTION_LABELS if lab != start_label]
-            updates["end_direction_label"] = str(srng.child("end-dir-fallback").choice(options))
+            updates["end_direction_label"] = srng.child("end-dir-fallback").choice(options)
         if updates:
             sources.append(replace(attrs, **updates))
         else:

@@ -21,7 +21,8 @@ from stereoscene.acoustics import (
     rt60_to_absorption,
     stereo_convolve,
     stereo_rir_for,
-    _frac_delay_taps,
+    _frac_delay_index,
+    _frac_table,
 )
 from stereoscene.audio_io import AudioBuffer
 from stereoscene.rng import SeededRng
@@ -147,8 +148,8 @@ def test_direct_delay_matches_distance_1000_geometries():
 
 def _reference_place(h: np.ndarray, delays: np.ndarray, amps: np.ndarray) -> None:
     """One row's impulses, scattered with one bincount and taps outside h dropped."""
-    base, kernel = _frac_delay_taps(delays)
-    kernel *= amps[:, None]
+    base, frac_idx = _frac_delay_index(delays)
+    kernel = _frac_table()[frac_idx] * amps[:, None]
     idx = base[:, None] + np.arange(FRAC_DELAY_TAPS)[None, :]
     valid = (idx >= 0) & (idx < h.shape[0])
     h += np.bincount(idx[valid], weights=kernel[valid], minlength=h.shape[0])

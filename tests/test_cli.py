@@ -288,6 +288,34 @@ def test_evaluate_truncated_index_exits_two(dataset, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {out / 'index.jsonl'}:{last}: ")
 
 
+def _copy_without(dataset, tmp_path, key):
+    """A copy of ``dataset`` whose first index.jsonl row lacks ``key``."""
+    out = tmp_path / "ds"
+    shutil.copytree(dataset, out)
+    index = out / "index.jsonl"
+    first, *rest = index.read_text().splitlines()
+    row = json.loads(first)
+    del row[key]
+    index.write_text("\n".join([json.dumps(row), *rest]) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("key", ["id", "wav"])
+def test_validate_index_row_without_key_exits_two(dataset, tmp_path, capsys, key):
+    out = _copy_without(dataset, tmp_path, key)
+    assert main(["validate", "--dataset", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'index.jsonl'}:1: ") and repr(key) in err
+
+
+@pytest.mark.parametrize("key", ["id", "wav"])
+def test_evaluate_index_row_without_key_exits_two(dataset, tmp_path, capsys, key):
+    out = _copy_without(dataset, tmp_path, key)
+    assert main(["evaluate", "--generated", str(out), "--reference", str(dataset)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'index.jsonl'}:1: ") and repr(key) in err
+
+
 @pytest.mark.parametrize("sidecar", ['{"shape": [4', '{"shape": [4], "mean_tdoa_ms": "x"}'],
                          ids=["truncated", "string_tdoa"])
 def test_evaluate_malformed_embedding_sidecar_exits_two(dataset, tmp_path, capsys, sidecar):

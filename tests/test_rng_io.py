@@ -32,6 +32,17 @@ def test_different_labels_differ():
     assert root.child("x").uniform() != root.child("y").uniform()
 
 
+
+@given(st.binary(min_size=16, max_size=16), st.integers(1, 8))
+def test_choice_draws_as_generator_choice(key, n):
+    # choice draws an index instead of calling Generator.choice; both the
+    # element and the draw after it must stay as Generator.choice leaves them
+    seq = [f"label{i}" for i in range(n)]
+    ref = np.random.Generator(np.random.PCG64(int.from_bytes(key, "little")))
+    rng = SeededRng(0, _key=key)
+    assert rng.choice(seq) == ref.choice(seq)
+    assert rng.uniform() == ref.uniform()
+
 @given(st.integers(0, 2 ** 62), st.text(min_size=1, max_size=30))
 def test_entry_seed_stable_and_spread(seed, clip_id):
     assert entry_seed(seed, clip_id) == entry_seed(seed, clip_id)

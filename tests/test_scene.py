@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import asdict, replace
 
@@ -12,9 +13,11 @@ from stereoscene.scene import (
     AttributeRecord,
     DIRECTION_CENTERS,
     DIRECTION_LABELS,
+    DISTANCE_LABELS,
     DISTANCE_RATIO_RANGES,
     GeometryError,
     MicArray,
+    SIZE_LABELS,
     SIZE_RANGES,
     SPEED_RATIO_RANGES,
     SceneSpec,
@@ -302,6 +305,40 @@ def test_adding_source_keeps_earlier_draws():
     assert one.sources[0] == two.sources[0]
 
 
+
+_MOVES = (("still", None), ("moving", "slow"), ("moving", "moderate"), ("moving", "fast"),
+          ("instant", "instant"))
+
+
+def _digest_records():
+    """Every size label and none, every movement and speed, each as a labelled
+    source beside an unlabelled one, and as a lone source at explicit angles."""
+    for size in (*SIZE_LABELS, None):
+        for i, (movement, speed) in enumerate(_MOVES):
+            still = movement == "still"
+            labelled = SourceAttributes(event="a", direction_label=DIRECTION_LABELS[i],
+                                        distance_label=DISTANCE_LABELS[i % 3],
+                                        movement=movement, speed_label=speed)
+            unlabelled = SourceAttributes(event="b", movement=movement, speed_label=speed)
+            explicit = SourceAttributes(
+                event="c", direction_degrees=20.0 + 35.0 * i, distance_label="far",
+                movement=movement, speed_label=speed,
+                end_direction_degrees=None if still else 160.0 - 30.0 * i,
+                end_distance_label=None if still else "near")
+            yield AttributeRecord(scene_size_label=size, sources=(labelled, unlabelled))
+            yield AttributeRecord(scene_size_label=size, sources=(explicit,))
+
+
+def test_sampled_scenes_keep_their_digest():
+    # the samplers must draw these 400 scenes bit for bit as the digest records:
+    # any change to a draw, its order or the float arithmetic after it fails here
+    digest = hashlib.sha256()
+    for seed in range(8):
+        for record in _digest_records():
+            digest.update(sample_scene(record, SeededRng(seed).child("scene")).to_json().encode())
+    assert digest.hexdigest() == (
+        "1e4638267a148f53fff87c83819cffff2bb17b1580fc90b4fc7047a379503eea")
+
 @pytest.mark.slow
 def test_scene_containment_bulk():
     # spec invariant: geometry stays strictly inside for 1e5 random scenes;
@@ -481,6 +518,13 @@ def test_scene_rejects_outside_source():
     with pytest.raises(GeometryError):
         SceneSpec(room_dims=(10.0, 10.0, 10.0), rt60=0.4, mic_array=mic, sources=(bad,))
 
+
+
+@pytest.mark.parametrize("dims", [(10.0, 10.0), (10.0, 10.0, 10.0, 10.0)], ids=["2", "4"])
+def test_scene_refuses_room_dims_not_three(dims):
+    mic = MicArray(center=(5.0, 5.0, 5.0), half_spacing=0.085)
+    with pytest.raises(ValidationError, match="room_dims needs 3 lengths"):
+        SceneSpec(room_dims=dims, rt60=0.4, mic_array=mic, sources=())
 
 def test_attribute_validation():
     with pytest.raises(ValidationError):

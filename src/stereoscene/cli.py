@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--sample-rate", type=_positive_int, default=16000)
     p.add_argument("--subset", choices=pipeline.SUBSETS, default=None,
                    help="only synthesize entries with this subset tag")

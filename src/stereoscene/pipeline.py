@@ -316,10 +316,13 @@ def synthesize(manifest: list[ManifestEntry], out_dir, global_seed: int = 0,
         else:
             index.failures.append({"id": entry.clip_id, "error": err})
     index.save(out_dir / "index.jsonl")
+    failures = out_dir / "failures.jsonl"
     if index.failures:
-        (out_dir / "failures.jsonl").write_text(
+        failures.write_text(
             "\n".join(json.dumps(f, sort_keys=True) for f in index.failures) + "\n"
         )
+    else:  # an earlier run into this directory may have left one
+        failures.unlink(missing_ok=True)
     return index
 
 
@@ -507,8 +510,9 @@ def evaluate(gen_dir, ref_dir_or_index,
     non-finite samples is scored like an unpaired clip: left out of every
     score and listed in ``skipped``; so is a pair with a missing or unreadable
     WAV. With ``external_embeddings`` = (gen_dir, ref_dir) of .bin/.json
-    files, the Frechet distance additionally uses those vectors (``crw_mae``
-    appears when sidecars carry ``mean_tdoa_ms``).
+    files, the top-level Frechet distance uses those vectors instead, and
+    MetricError is raised unless the two sets share at least two ids
+    (``crw_mae`` appears when sidecars carry ``mean_tdoa_ms``).
     """
     gen = _wav_paths(gen_dir)
     ref = _wav_paths(ref_dir_or_index)
@@ -536,8 +540,10 @@ def evaluate(gen_dir, ref_dir_or_index,
         ext_gen, gen_meta = metrics.load_embedding_dir(external_embeddings[0])
         ext_ref, ref_meta = metrics.load_embedding_dir(external_embeddings[1])
         ids = sorted(set(ext_gen) & set(ext_ref))
-        if len(ids) >= 2:
-            fsad = _fsad(ext_gen, ext_ref, ids)
+        if len(ids) < 2:
+            raise metrics.MetricError(f"the external embedding sets share {len(ids)} clip "
+                                      "id(s); a Frechet distance needs at least 2")
+        fsad = _fsad(ext_gen, ext_ref, ids)
         tdoas = [(gen_meta[i].get("mean_tdoa_ms"), ref_meta[i].get("mean_tdoa_ms")) for i in ids]
         pairs = [(g, r) for g, r in tdoas if g is not None and r is not None]
         if pairs:

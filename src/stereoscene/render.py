@@ -4,7 +4,6 @@ moving sources via grain-wise time-varying RIRs, and multi-source mixing."""
 from __future__ import annotations
 
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -24,8 +23,8 @@ ACTIVITY_THRESHOLD_DBFS = -40.0
 MIN_SEGMENT_S = 1.0
 TARGET_CLIP_S = 10.0
 MOVING_HOP_S = 0.01
-_JOB_GRAINS_ANECHOIC = 32  # single-grain runs per job outdoors
-_JOB_GRAINS = 8  # single-grain runs per job in a room: one batched RIR build, one stacked FFT
+_JOB_RUNS_ANECHOIC = 32  # runs per job outdoors
+_JOB_RUNS = 8  # runs per job in a room: one batched RIR build, one stacked FFT
 # threads rendering one moving source, the calling thread included; worker
 # processes of a multi-process synthesize set it to 1
 RENDER_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -140,17 +139,14 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
     position form a run, whose input is faded in and out at its ends and
     convolved once.
 
-    The work is cut into jobs: one multi-grain run, whose response
-    ``stereo_rir_for`` builds on the calling thread, or consecutive
-    single-grain runs, whose responses come from one ``stereo_rirs_for``
-    batch and are convolved in one stack. A job takes up to
-    ``_JOB_GRAINS`` single grains in a room, where jobs run on
-    ``RENDER_THREADS`` threads, the calling thread included, one job per
-    thread at a time; anechoic jobs take up to ``_JOB_GRAINS_ANECHOIC`` and
-    run on the calling thread alone. The calling thread adds the results in
-    a fixed order, so the output bytes do not depend on the thread count.
-    Responses are dropped once their job is added. A still source is one
-    static convolution; grains need a sample rate above 50 Hz.
+    The runs are cut into jobs of ``_JOB_RUNS`` consecutive runs in a room
+    and ``_JOB_RUNS_ANECHOIC`` outdoors; ``_render_runs`` renders one job.
+    Room jobs run on ``RENDER_THREADS`` threads, the calling thread
+    included, and anechoic jobs on the calling thread alone. The calling
+    thread adds the results in job order, so the output bytes do not depend
+    on the thread count. Responses are dropped once their job is added. A
+    still source is one static convolution; grains need a sample rate above
+    50 Hz.
     """
     if mono.channels != 1:
         raise RenderError("render_moving expects a mono buffer")
@@ -169,104 +165,85 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
                           f"{MOVING_HOP_S * 1e3:g} ms grains round to no sample")
     x = np.asarray(mono.data, dtype=np.float64)
     n_grains = int(np.ceil(n / hop))
-    ramp = _ramp(hop)
     positions = source.positions(np.arange(n_grains) * MOVING_HOP_S)
     keys = np.round(positions, 9)
     firsts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
     lasts = np.r_[firsts[1:], n_grains] - 1
 
-    # a job is made on the calling thread and returns the task the pool runs
-    def grains_task(grains):
-        return partial(_convolve_grains, x, ramp, grains, scene, positions[grains])
-
-    def run_task(j0, j1):
-        rir = stereo_rir_for(scene, positions[j0])
-        return partial(_convolve_run, x, ramp, j0, j1, rir)
-
     # a direct-path response takes tens of microseconds, mostly interpreter
     # time, so a second thread would only contend for the interpreter lock;
     # on one thread, smaller jobs would only add calls
     threads = 1 if scene.anechoic else RENDER_THREADS
-    job_grains = _JOB_GRAINS_ANECHOIC if scene.anechoic else _JOB_GRAINS
-    jobs = []
-    grains = []
-    for j0, j1 in zip(firsts.tolist(), lasts.tolist()):
-        if j0 < j1:
-            jobs.append(partial(run_task, j0, j1))
-            continue
-        grains.append(j0)
-        if len(grains) == job_grains:
-            jobs.append(partial(grains_task, grains))
-            grains = []
-    if grains:
-        jobs.append(partial(grains_task, grains))
+    k = _JOB_RUNS_ANECHOIC if scene.anechoic else _JOB_RUNS
+    ramp = _ramp(hop)
+    tasks = [partial(_render_runs, x, ramp, scene, positions, firsts[i:i + k], lasts[i:i + k])
+             for i in range(0, firsts.size, k)]
 
     out = np.zeros((n, 2))
-    for segments in _run_jobs(jobs, threads):
+    for segments in _run_jobs(tasks, threads):
         for start, seg in segments:
             stop = min(start + seg.shape[1], n)
             out[start:stop] += seg[:, :stop - start].T
     return AudioBuffer(out, fs)
 
 
-def _run_jobs(jobs, threads: int):
-    """Yield each job's result in job order.
+def _run_jobs(tasks, threads: int):
+    """Yield each task's result in task order.
 
-    The calling thread makes every job and runs every ``threads``-th task
-    itself; the others go to ``threads - 1`` pool threads, one at a time
-    each. Working on the calling thread instead of leaving it to wait spares
-    one thread's malloc arena and the peak memory it holds.
+    The tasks run in rounds of ``threads``: the calling thread runs the
+    first task of each round and ``threads - 1`` pool threads the rest.
+    Working on the calling thread instead of leaving it to wait spares one
+    thread's malloc arena and the peak memory it holds.
     """
-    pending = deque()
     with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
-        for job in jobs:
-            task = job()
-            if len(pending) < threads - 1:
-                pending.append(pool.submit(task))
-                continue
-            result = task()
-            while pending:
-                yield pending.popleft().result()
-            yield result
-        while pending:
-            yield pending.popleft().result()
+        for i in range(0, len(tasks), threads):
+            first, *rest = tasks[i:i + threads]
+            futures = [pool.submit(task) for task in rest]
+            yield first()
+            for future in futures:
+                yield future.result()
 
 
-def _convolve_run(x, ramp, j0, j1, rir):
-    """[(start, (2, L) segment)] for grains j0..j1 through one response.
+def _render_runs(x, ramp, scene, positions, firsts, lasts):
+    """[(start, (2, L) segment)] for the runs of grains firsts[i]..lasts[i],
+    each through the response at its first grain's position.
 
-    The run rises over its first hop, unless it starts the clip, and falls
-    over its last; between them each fall + rise sums to exactly 1."""
+    The responses come from one batch. A run of several grains is convolved
+    alone; the one-grain runs are convolved in one stack, whose FFT is sized
+    by their longest response. A run rises over its first hop, unless it
+    starts the clip, and falls over its last; between them each fall + rise
+    sums to exactly 1.
+    """
     hop = ramp.size
-    start = j0 * hop
-    seg_in = x[start:(j1 + 2) * hop].copy()
-    if j0 > 0:
-        seg_in[:hop] *= ramp
-    # empty for the clip's last grain, which ends the input
-    fall = seg_in[(j1 + 1 - j0) * hop:]
-    fall *= (1.0 - ramp)[:fall.size]
-    return [(start, stereo_convolve(seg_in, rir.samples))]
-
-
-def _convolve_grains(x, ramp, grains, scene, positions):
-    """[(start, (2, L) segment)] per single grain, each through the response
-    at its position, built in one batch and convolved in one stack."""
-    hop = ramp.size
-    rirs = stereo_rirs_for(scene, positions)
-    taps = max(rir.length for rir in rirs)
-    nfft = next_fast_len(2 * hop + taps - 1)
-    inputs = np.zeros((len(grains), 2 * hop))
-    kernels = np.zeros((len(grains), 2, taps))
-    for i, (j, rir) in enumerate(zip(grains, rirs)):
-        grain = x[j * hop:(j + 2) * hop]
-        inputs[i, :grain.size] = grain
-        kernels[i, :, :rir.length] = rir.samples
-    # the clip's first grain does not rise; its last holds no input to fall
-    inputs[np.asarray(grains) > 0, :hop] *= ramp
-    inputs[:, hop:] *= 1.0 - ramp
-    segs = irfft(rfft(inputs, nfft)[:, None, :] * rfft(kernels, nfft), nfft)
-    return [(j * hop, segs[i, :, :2 * hop + rir.length - 1])
-            for i, (j, rir) in enumerate(zip(grains, rirs))]
+    segments, singles = [], []
+    for j0, j1, rir in zip(firsts.tolist(), lasts.tolist(),
+                           stereo_rirs_for(scene, positions[firsts])):
+        if j0 == j1:
+            singles.append((j0, rir))
+            continue
+        seg_in = x[j0 * hop:(j1 + 2) * hop].copy()
+        if j0 > 0:
+            seg_in[:hop] *= ramp
+        # empty for the clip's last grain, which ends the input
+        fall = seg_in[(j1 + 1 - j0) * hop:]
+        fall *= (1.0 - ramp)[:fall.size]
+        segments.append((j0 * hop, stereo_convolve(seg_in, rir.samples)))
+    if singles:
+        taps = max(rir.length for _, rir in singles)
+        nfft = next_fast_len(2 * hop + taps - 1)
+        inputs = np.zeros((len(singles), 2 * hop))
+        kernels = np.zeros((len(singles), 2, taps))
+        for i, (j, rir) in enumerate(singles):
+            grain = x[j * hop:(j + 2) * hop]
+            inputs[i, :grain.size] = grain
+            kernels[i, :, :rir.length] = rir.samples
+        # the clip's first grain does not rise; its last holds no input to fall
+        inputs[[j > 0 for j, _ in singles], :hop] *= ramp
+        inputs[:, hop:] *= 1.0 - ramp
+        segs = irfft(rfft(inputs, nfft)[:, None, :] * rfft(kernels, nfft), nfft)
+        segments += [(j * hop, segs[i, :, :2 * hop + rir.length - 1])
+                     for i, (j, rir) in enumerate(singles)]
+    return segments
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,18 @@ def test_synthesize_nonpositive_sample_rate_exits_two(workspace, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_synthesize_nonpositive_workers_exits_two(workspace, tmp_path, capsys, workers):
+    # both used to exit 0 after a serial run
+    _, _, manifest = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+              "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synthesize_partial_failure_exit_one(workspace, tmp_path):
     root, clip, _ = workspace
     manifest = tmp_path / "broken.jsonl"
@@ -329,6 +341,19 @@ def test_evaluate_malformed_embedding_sidecar_exits_two(dataset, tmp_path, capsy
                  "--external-gen", str(tmp_path / "gen"),
                  "--external-ref", str(tmp_path / "ref")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'ref' / 'b.bin.json'}: ")
+
+
+def test_evaluate_one_common_external_id_exits_two(dataset, tmp_path, capsys):
+    # one common id used to keep the built-in fsad while crw_mae still came
+    # from the external sidecars
+    for side, name in (("gen", "a"), ("gen", "b"), ("ref", "b")):
+        (tmp_path / side).mkdir(exist_ok=True)
+        (tmp_path / side / f"{name}.bin").write_bytes(np.ones(4, np.float32).tobytes())
+        (tmp_path / side / f"{name}.bin.json").write_text('{"shape": [4], "mean_tdoa_ms": 0.1}')
+    assert main(["evaluate", "--generated", str(dataset), "--reference", str(dataset),
+                 "--external-gen", str(tmp_path / "gen"),
+                 "--external-ref", str(tmp_path / "ref")]) == 2
+    assert "share 1 clip id" in capsys.readouterr().err
 
 
 _EVALUATE_RUN = r"""

@@ -215,6 +215,19 @@ def test_failures_are_isolated(tmp_path, clip_dir):
     assert (out / "failures.jsonl").exists()
 
 
+def test_clean_rerun_removes_stale_failures(tmp_path, clip_dir):
+    good = _entries(clip_dir)[:1]
+    broken = {"id": "broken", "subset": "SS", "audio": "missing-file.wav",
+              "caption": "A dog barks on the left."}
+    out = tmp_path / "out"
+    for entries, failed in ((good + [broken], 1), (good, 0)):
+        manifest_path = tmp_path / "m.jsonl"
+        _write_manifest(manifest_path, entries)
+        index = synthesize(read_manifest(manifest_path), out, global_seed=3, duration=2.0)
+        assert len(index.failures) == failed
+        assert (out / "failures.jsonl").exists() == bool(failed)
+
+
 def test_non_finite_source_audio_fails_entry(tmp_path, clip_dir):
     noisy = read_wav(clip_dir / "noise.wav").data.copy()
     noisy[12345] = np.nan

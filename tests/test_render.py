@@ -128,6 +128,15 @@ def _small_room_sweep(noise_clip):
     return AudioBuffer(noise_clip.data[: 16000 * 2], 16000), scene, src
 
 
+def _small_room_full_sweep(noise_clip):
+    # moving over the whole 0.5 s clip, every run is one grain, so the clip's
+    # first grain (which does not rise) and its last go through the stacked FFT
+    _, scene, sweep = _small_room_sweep(noise_clip)
+    src = replace(sweep, move_start=0.0, move_interval=0.5)
+    return (AudioBuffer(noise_clip.data[:8000], 16000),
+            replace(scene, sources=(src,), duration=0.5), src)
+
+
 def _degenerate_motion(noise_clip):
     pos = polar_pos(70.0, 12.0)
     src = SourceSpec(start_pos=pos, end_pos=pos, angle=70.0, distance=12.0,
@@ -234,8 +243,8 @@ def _per_grain_reference(mono, scene, source, rir_for):
     return out
 
 
-@pytest.mark.parametrize("case", [_outdoor_sweep, _small_room_sweep, _degenerate_motion,
-                                  _outdoor_jump, _small_room_jump])
+@pytest.mark.parametrize("case", [_outdoor_sweep, _small_room_sweep, _small_room_full_sweep,
+                                  _degenerate_motion, _outdoor_jump, _small_room_jump])
 def test_moving_render_matches_per_grain_reference(case, noise_clip, monkeypatch):
     clip, scene, src = case(noise_clip)
     built, calls = {}, []

@@ -357,11 +357,10 @@ def test_scene_containment_bulk():
                 speed_label=(None, "fast", "instant")[i % 3]),),
         )
         scene = sample_scene(record, rng.child(f"{i}"))
-        dims = np.asarray(scene.room_dims)
-        for pos in (scene.mic_array.left_pos, scene.mic_array.right_pos,
-                    np.asarray(scene.sources[0].start_pos),
-                    np.asarray(scene.sources[0].end_pos)):
-            assert np.all(pos > 0) and np.all(pos < dims)
+        # plain floats: a numpy check per scene costs a quarter of the loop
+        for pos in (scene.mic_array.left_pos.tolist(), scene.mic_array.right_pos.tolist(),
+                    scene.sources[0].start_pos, scene.sources[0].end_pos):
+            assert all(0.0 < p < d for p, d in zip(pos, scene.room_dims, strict=True))
 
 
 def test_scene_json_roundtrip():

@@ -1,9 +1,10 @@
-"""Audio buffers and WAV I/O.
+"""Audio buffers, WAV I/O, and the one file writer.
 
-The RIFF/WAVE codec here is the only code that knows the file format.
-``write_wav`` writes float32 (format 3, with a ``fact`` chunk) or PCM16, the
-same bytes as ``scipy.io.wavfile.write``, through a sibling temp file, so a
-failed or killed write never leaves a truncated file. ``read_wav`` reads
+``replace_file`` writes every file the package writes: to a sibling temp
+file, renamed over the target once complete, so a failed or killed write
+leaves the old file or none. ``write_wav`` writes float32 (format 3, with a
+``fact`` chunk) or PCM16, the same bytes as ``scipy.io.wavfile.write``; this
+codec is the only code that knows the file format. ``read_wav`` reads
 little-endian PCM u8/16/24/32 and float32/64, plain or
 WAVE_FORMAT_EXTENSIBLE, skipping other chunks; any other file raises
 ``AudioFormatError`` naming the path and the defect.
@@ -172,12 +173,23 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(data, info.sample_rate)
 
 
-def write_wav(path, buf: AudioBuffer, pcm16: bool = False) -> None:
-    """Write float32 or, with ``pcm16``, 16-bit PCM (clipped to [-1, 1]).
+def replace_file(path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` to a sibling temp file, then rename it
+    over ``path``; a failed write removes the temp file. Creates no directory."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
-    The bytes go to a sibling temp file that replaces ``path`` only once
-    complete; a failed write removes it.
-    """
+
+def write_wav(path, buf: AudioBuffer, pcm16: bool = False) -> None:
+    """Write float32 or, with ``pcm16``, 16-bit PCM (clipped to [-1, 1])."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     data = np.asarray(buf.data)
@@ -195,12 +207,4 @@ def write_wav(path, buf: AudioBuffer, pcm16: bool = False) -> None:
     chunks = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact
     header = (b"RIFF" + struct.pack("<I", len(chunks) + 8 + data.nbytes) + chunks
               + b"data" + struct.pack("<I", data.nbytes))
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(header)
-            f.write(np.ascontiguousarray(data).data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    replace_file(path, header, np.ascontiguousarray(data))

@@ -1,5 +1,6 @@
 """Command-line interface: synthesize / evaluate / validate / parse-captions
-/ render-scene. Exit codes: 0 success, 1 partial failure, 2 bad invocation."""
+/ render-scene. Exit codes: 0 success, 1 partial failure, 2 bad invocation
+(including a file that cannot be read or written)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from pathlib import Path
 
 from . import captions as cap
 from . import metrics, pipeline
-from .audio_io import AudioBuffer, write_wav
+from .audio_io import AudioBuffer, replace_file, write_wav
 from .acoustics import stereo_rir_for
 from .render import mix_scene
 from .rng import SeededRng
@@ -18,11 +19,7 @@ from .scene import SceneSpec
 
 
 def _cmd_synthesize(args) -> int:
-    try:
-        manifest = pipeline.read_manifest(args.manifest)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    manifest = pipeline.read_manifest(args.manifest)
     index = pipeline.synthesize(
         manifest, args.out, global_seed=args.seed, workers=args.workers,
         sample_rate=args.sample_rate, pcm16=args.pcm16, subset_filter=args.subset,
@@ -36,21 +33,10 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
-def _save_report(report, path) -> bool:
-    """Write ``report`` as JSON to ``path``, if given; False after a failed write."""
-    if path:
-        try:
-            Path(path).write_text(report.to_json())
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return False
-    return True
-
-
 def _cmd_validate(args) -> int:
     report = pipeline.validate(args.dataset)
-    if not _save_report(report, args.out_json):
-        return 2
+    if args.out_json:
+        replace_file(args.out_json, report.to_json().encode())
     print(f"checked {report.checked} clips, {len(report.violations)} violation(s)")
     for v in report.violations:
         print(f"  {v['id']}: {v['kind']}: {v['detail']}")
@@ -64,8 +50,8 @@ def _cmd_evaluate(args) -> int:
         return 2
     ext = (args.external_gen, args.external_ref) if args.external_gen else None
     report = pipeline.evaluate(args.generated, args.reference, external_embeddings=ext)
-    if not _save_report(report, args.out_json):
-        return 2
+    if args.out_json:
+        replace_file(args.out_json, report.to_json().encode())
     print(f"{'metric':<10} {'value':>10}")
     print(f"{'gcc_mae':<10} {report.gcc_mae:>10.3f}")
     print(f"{'gcc_ma':<10} {report.gcc_ma:>10.3f}")
@@ -82,11 +68,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_parse_captions(args) -> int:
-    try:
-        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
     status = 0
     for line in text.splitlines():
         line = line.strip()
@@ -105,12 +87,8 @@ def _cmd_parse_captions(args) -> int:
 def _cmd_render_scene(args) -> int:
     try:
         scene = SceneSpec.from_json(Path(args.scene).read_text())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         mix = mix_scene(pipeline.render_sources(scene, args.audio, SeededRng(args.seed)))
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     write_wav(args.out, mix.audio, pcm16=args.pcm16)
@@ -189,7 +167,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (pipeline.ManifestError, metrics.MetricError) as exc:  # bad input files
+    # bad input files, and files that cannot be read or written
+    except (pipeline.ManifestError, metrics.MetricError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

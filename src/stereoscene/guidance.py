@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio_io import replace_file
 from .scene import SceneSpec, SourceSpec
 
 L_AZI = 64
@@ -61,7 +62,7 @@ class AzimuthStateMatrix:
         """Row-major float32 binary plus a JSON sidecar describing the layout."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        self.data.astype(np.float32).tofile(path)
+        replace_file(path, np.ascontiguousarray(self.data, np.float32))
         sidecar = {
             "shape": list(self.data.shape),
             "dtype": "float32",
@@ -72,7 +73,7 @@ class AzimuthStateMatrix:
             "time_bins": self.data.shape[2],
             "bin_convention": "l=1 right (0 deg), l=L left (180 deg); row-major (source, azimuth, time)",
         }
-        path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
+        replace_file(f"{path}.json", json.dumps(sidecar, indent=2).encode())
 
     @staticmethod
     def load(path) -> "AzimuthStateMatrix":

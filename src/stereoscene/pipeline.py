@@ -20,7 +20,8 @@ import numpy as np
 from . import captions as cap
 from . import guidance, metrics, render
 from .acoustics import SPEED_OF_SOUND
-from .audio_io import AudioBuffer, AudioFormatError, read_wav, read_wav_info, write_wav
+from .audio_io import (AudioBuffer, AudioFormatError, read_wav, read_wav_info, replace_file,
+                       write_wav)
 from .render import crop_pad, mix_scene, render_moving
 from .rng import SeededRng, entry_seed
 from .scene import AttributeRecord, SceneSpec, resolve_attributes, sample_scene
@@ -85,6 +86,10 @@ def _read_jsonl(path, parse) -> list:
     return records
 
 
+def _write_jsonl(path, records) -> None:
+    replace_file(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode())
+
+
 def read_manifest(path) -> list[ManifestEntry]:
     seen = set()
 
@@ -104,9 +109,7 @@ class DatasetIndex:
     failures: list = field(default_factory=list)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            for row in self.rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        _write_jsonl(path, self.rows)
 
     @staticmethod
     def load(path) -> "DatasetIndex":
@@ -235,7 +238,7 @@ def synthesize_entry(entry: ManifestEntry, out_dir, global_seed: int,
         "source_audio": list(entry.audio_paths),
         "trajectories_10ms": trajectories,
     }
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True))
+    replace_file(meta_path, json.dumps(meta, indent=2, sort_keys=True).encode())
 
     return {
         "id": entry.clip_id,
@@ -318,9 +321,7 @@ def synthesize(manifest: list[ManifestEntry], out_dir, global_seed: int = 0,
     index.save(out_dir / "index.jsonl")
     failures = out_dir / "failures.jsonl"
     if index.failures:
-        failures.write_text(
-            "\n".join(json.dumps(f, sort_keys=True) for f in index.failures) + "\n"
-        )
+        _write_jsonl(failures, index.failures)
     else:  # an earlier run into this directory may have left one
         failures.unlink(missing_ok=True)
     return index
@@ -510,9 +511,10 @@ def evaluate(gen_dir, ref_dir_or_index,
     non-finite samples is scored like an unpaired clip: left out of every
     score and listed in ``skipped``; so is a pair with a missing or unreadable
     WAV. With ``external_embeddings`` = (gen_dir, ref_dir) of .bin/.json
-    files, the top-level Frechet distance uses those vectors instead, and
-    MetricError is raised unless the two sets share at least two ids
-    (``crw_mae`` appears when sidecars carry ``mean_tdoa_ms``).
+    files, every Frechet distance, ``by_subset`` included, uses those vectors
+    of the paired ids instead, and MetricError is raised unless both sets
+    hold every paired id (``crw_mae`` appears when sidecars carry
+    ``mean_tdoa_ms``).
     """
     gen = _wav_paths(gen_dir)
     ref = _wav_paths(ref_dir_or_index)
@@ -529,25 +531,29 @@ def evaluate(gen_dir, ref_dir_or_index,
     if not common:
         raise ManifestError("no clip ids with finite audio in common between the two sets")
 
-    gen_vecs = {k: gen_series[k].embedding() for k in common}
-    ref_vecs = {k: ref_series[k].embedding() for k in common}
-    mae, rows, skipped = metrics.gcc_mae(gen_series, ref_series)
-    ma, ma_skipped = metrics.gcc_ma(gen_series)
-    fsad = _fsad(gen_vecs, ref_vecs, common)
-
     crw_mae = None
-    if external_embeddings is not None:
-        ext_gen, gen_meta = metrics.load_embedding_dir(external_embeddings[0])
-        ext_ref, ref_meta = metrics.load_embedding_dir(external_embeddings[1])
-        ids = sorted(set(ext_gen) & set(ext_ref))
-        if len(ids) < 2:
-            raise metrics.MetricError(f"the external embedding sets share {len(ids)} clip "
+    if external_embeddings is None:
+        gen_vecs = {k: gen_series[k].embedding() for k in common}
+        ref_vecs = {k: ref_series[k].embedding() for k in common}
+    else:
+        gen_vecs, gen_meta = metrics.load_embedding_dir(external_embeddings[0])
+        ref_vecs, ref_meta = metrics.load_embedding_dir(external_embeddings[1])
+        shared = set(gen_vecs) & set(ref_vecs)
+        if len(shared) < 2:
+            raise metrics.MetricError(f"the external embedding sets share {len(shared)} clip "
                                       "id(s); a Frechet distance needs at least 2")
-        fsad = _fsad(ext_gen, ext_ref, ids)
-        tdoas = [(gen_meta[i].get("mean_tdoa_ms"), ref_meta[i].get("mean_tdoa_ms")) for i in ids]
+        missing = [k for k in common if k not in shared]
+        if missing:
+            raise metrics.MetricError("the external embedding sets lack paired clip id(s): "
+                                      + ", ".join(missing))
+        tdoas = [(gen_meta[k].get("mean_tdoa_ms"), ref_meta[k].get("mean_tdoa_ms"))
+                 for k in common]
         pairs = [(g, r) for g, r in tdoas if g is not None and r is not None]
         if pairs:
             crw_mae = float(np.mean([abs(g - r) for g, r in pairs])) * 100.0
+    mae, rows, skipped = metrics.gcc_mae(gen_series, ref_series)
+    ma, ma_skipped = metrics.gcc_ma(gen_series)
+    fsad = _fsad(gen_vecs, ref_vecs, common)
 
     report = metrics.MetricReport(gcc_mae=mae, gcc_ma=ma, fsad=fsad, crw_mae=crw_mae,
                                   rows=rows, skipped=sorted(set(skipped + unpaired)))

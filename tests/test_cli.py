@@ -77,6 +77,29 @@ def test_out_json_in_missing_directory_exits_two(dataset, tmp_path, capsys, comm
     assert not report.parent.exists()
 
 
+@pytest.mark.parametrize("command, option, target", [
+    ("render-scene", "--out", "dir"),
+    ("render-scene", "--export-rir", "file"),
+    ("synthesize", "--out", "file"),
+    ("synthesize", "--out", "file/sub"),
+])
+def test_unwritable_output_path_exits_two(workspace, tmp_path, capsys, command, option, target):
+    # each used to end in a traceback and exit 1
+    _, clip, manifest = workspace
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(sample_scene(parse_caption("A dog barks on the left, outdoors."),
+                                       SeededRng(1)).to_json())
+    options = {"render-scene": {"--scene": scene_path, "--audio": clip,
+                                "--out": tmp_path / "out.wav"},
+               "synthesize": {"--manifest": manifest, "--out": tmp_path / "ds"}}[command]
+    options[option] = tmp_path / target
+    assert main([command, *(str(a) for item in options.items() for a in item)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob(".*.tmp"))
+
+
 @pytest.mark.parametrize("rate", ["0", "-16000"])
 def test_synthesize_nonpositive_sample_rate_exits_two(workspace, tmp_path, capsys, rate):
     _, _, manifest = workspace

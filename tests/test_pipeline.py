@@ -11,6 +11,7 @@ import pytest
 from stereoscene import pipeline, render
 from stereoscene.audio_io import AudioBuffer, read_wav, write_wav
 from stereoscene.guidance import AzimuthStateMatrix
+from stereoscene.metrics import MetricError
 from stereoscene.pipeline import (
     DatasetIndex,
     ManifestEntry,
@@ -519,22 +520,47 @@ def test_evaluate_skips_unreadable_clip(synthesized, tmp_path, side):
     _evaluate_with_one_bad_clip(synthesized, tmp_path, side, truncate)
 
 
+def _external_dirs(tmp_path, ids, ref_shift=0.0):
+    """Random 32-d external vectors per id; the reference's are shifted by ``ref_shift``."""
+    dirs = tmp_path / "ext_gen", tmp_path / "ext_ref"
+    for d in dirs:
+        d.mkdir()
+    rng = np.random.default_rng(0)
+    for clip_id in ids:
+        vec = rng.standard_normal(32).astype(np.float32)
+        for d, shift, tdoa in zip(dirs, (0.0, ref_shift), (0.25, 0.15)):
+            (d / f"{clip_id}.bin").write_bytes((vec + np.float32(shift)).tobytes())
+            (d / f"{clip_id}.bin.json").write_text(
+                json.dumps({"shape": [32], "mean_tdoa_ms": tdoa}))
+    return dirs
+
+
 def test_evaluate_with_external_embeddings(synthesized, tmp_path):
     out, index = synthesized
-    gen_dir = tmp_path / "ext_gen"
-    ref_dir = tmp_path / "ext_ref"
-    gen_dir.mkdir()
-    ref_dir.mkdir()
-    rng = np.random.default_rng(0)
-    for row in index.rows:
-        vec = rng.standard_normal(32).astype(np.float32)
-        for d, tdoa in ((gen_dir, 0.25), (ref_dir, 0.15)):
-            (d / f"{row['id']}.bin").write_bytes(vec.tobytes())
-            (d / f"{row['id']}.bin.json").write_text(
-                json.dumps({"shape": [32], "mean_tdoa_ms": tdoa}))
-    report = evaluate(out, out, external_embeddings=(gen_dir, ref_dir))
+    dirs = _external_dirs(tmp_path, [row["id"] for row in index.rows])
+    report = evaluate(out, out, external_embeddings=dirs)
     assert report.fsad < 1e-6  # identical external vectors
     assert abs(report.crw_mae - 10.0) < 1e-9  # |0.25 - 0.15| * 100
+
+
+def test_evaluate_external_embeddings_score_every_subset(synthesized, tmp_path):
+    # a reference shifted by 1 in all 32 dimensions, with the same spread, is
+    # 32 away in every Frechet distance; the by_subset ones used to come from
+    # the built-in embedding (0 for a set scored against itself)
+    out, index = synthesized
+    dirs = _external_dirs(tmp_path, [row["id"] for row in index.rows], ref_shift=1.0)
+    report = evaluate(out, out, external_embeddings=dirs)
+    assert set(report.by_subset) == {"SS", "SD"}
+    for fsad in [report.fsad] + [row["fsad"] for row in report.by_subset.values()]:
+        assert fsad == pytest.approx(32.0, rel=1e-5)
+
+
+def test_evaluate_external_embeddings_must_hold_every_paired_id(synthesized, tmp_path):
+    # ids that match no clip used to be scored as if they were the clips
+    out, index = synthesized
+    dirs = _external_dirs(tmp_path, ["x1", "x2", "x3"])
+    with pytest.raises(MetricError, match="lack paired clip id.*ds-a, m-a, sd-a"):
+        evaluate(out, out, external_embeddings=dirs)
 
 
 def test_evaluate_left_vs_right_sets(tmp_path):

@@ -1,4 +1,8 @@
+import ast
+import contextlib
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,9 @@ from scipy.io import wavfile
 
 from stereoscene import audio_io
 from stereoscene.audio_io import AudioBuffer, AudioFormatError, read_wav, write_wav
+from stereoscene.cli import main
+from stereoscene.guidance import AzimuthStateMatrix
+from stereoscene.pipeline import DatasetIndex, ManifestEntry, synthesize, synthesize_entry
 from stereoscene.rng import SeededRng, entry_seed
 
 
@@ -170,15 +177,43 @@ def test_unreadable_wav_names_path_and_defect(tmp_path, make, defect):
     assert str(path) in str(exc.value) and defect in str(exc.value)
 
 
-def test_failed_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch):
-    path = tmp_path / "x.wav"
-    write_wav(path, AudioBuffer(np.zeros(100), 16000))
-    before = path.read_bytes()
+# (target file, writer of version v into directory d); every file the
+# package writes goes through audio_io.replace_file
+_WRITERS = [
+    ("x.wav", lambda d, v: write_wav(d / "x.wav", AudioBuffer(np.full(100, v / 2), 16000))),
+    ("x.bin", lambda d, v: AzimuthStateMatrix(np.full((1, 2, 3), v), "coarse", v).save(
+        d / "x.bin")),
+    ("index.jsonl", lambda d, v: DatasetIndex(rows=[{"id": str(v)}]).save(d / "index.jsonl")),
+    ("c.json", lambda d, v: synthesize_entry(
+        ManifestEntry("c", (str(d.parent / "noise.wav"),), "SS",
+                      caption="A dog barks on the left, outdoors.", seed=v), d, 0, duration=1.0)),
+    ("failures.jsonl", lambda d, v: synthesize(
+        [ManifestEntry("c", (str(d / f"missing{v}.wav"),), "SS", caption="A dog barks.")], d)),
+    ("report.json", lambda d, v: main(
+        ["validate", "--dataset", str(d / f"none{v}"), "--out-json", str(d / "report.json")])),
+]
+
+
+@pytest.mark.parametrize("name, write", _WRITERS, ids=[name for name, _ in _WRITERS])
+def test_failed_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, name, write):
+    write_wav(tmp_path / "noise.wav",
+              AudioBuffer(np.random.default_rng(0).standard_normal(32000) * 0.3, 16000))
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    write(old, 0)
+
+    def kept(d):  # the target, and for a matrix its sidecar
+        return {p.name: p.read_bytes() for p in d.iterdir() if p.name.startswith(name)}
+
+    before = kept(old)
+    assert name in before
+    failed, real_open = [], open
 
     class Failing:
-        # the header write succeeds, the sample write fails partway
-        def __init__(self, *args):
-            self.f = open(*args)
+        # each write stores part of its chunk, then fails
+        def __init__(self, f):
+            self.f = f
 
         def __enter__(self):
             return self
@@ -187,18 +222,55 @@ def test_failed_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch):
             self.f.close()
 
         def write(self, chunk):
-            if self.f.tell():
-                self.f.write(bytes(chunk)[:10])
-                raise OSError("disk full")
-            self.f.write(chunk)
+            failed.append(name)
+            self.f.write(bytes(chunk)[:10])
+            raise OSError("disk full")
 
-    monkeypatch.setattr(audio_io, "open", Failing, raising=False)
-    with pytest.raises(OSError, match="disk full"):
-        write_wav(path, AudioBuffer(np.ones(100), 16000))
-    with pytest.raises(OSError, match="disk full"):
-        write_wav(tmp_path / "new.wav", AudioBuffer(np.ones(100), 16000))
-    assert [p.name for p in tmp_path.iterdir()] == ["x.wav"]
-    assert path.read_bytes() == before
+    def failing_open(file, *args):
+        f = real_open(file, *args)
+        return Failing(f) if Path(file).name.startswith(f".{name}.") else f
+
+    monkeypatch.setattr(audio_io, "open", failing_open, raising=False)
+    for d in (old, new):
+        with contextlib.suppress(OSError):  # the CLI reports it and exits 2
+            write(d, 1)
+    assert len(failed) == 2
+    assert kept(old) == before and kept(new) == {}
+    assert not [p for d in (old, new) for p in d.iterdir() if p.suffix == ".tmp"]
+
+
+def _writes_outside_replace_file(source: str) -> list[str]:
+    """Calls in ``source`` that write a file anywhere but inside ``replace_file``:
+    ``write_text``, ``write_bytes``, ``tofile``, or ``open`` with a w/a/x mode."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and func != "replace_file":
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            modes = [a.value for a in [*node.args, *(k.value for k in node.keywords
+                                                     if k.arg == "mode")]
+                     if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+            if name in ("write_text", "write_bytes", "tofile") or name == "open" and any(
+                    re.fullmatch("[rwaxbt+]+", m) and set(m) & set("wax") for m in modes):
+                found.append(f"line {node.lineno}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_every_file_write_goes_through_replace_file():
+    planted = ('def f(p, a):\n    open(p, "w")\n    p.write_text("x")\n    a.tofile(p)\n'
+               '    p.open(mode="ab")\n    p.write_bytes(b"")\n    open(p, "rb")\n')
+    assert len(_writes_outside_replace_file(planted)) == 5
+    assert _writes_outside_replace_file('def replace_file(p):\n    open(p, "wb")\n') == []
+    src = Path(audio_io.__file__).parent
+    found = {path.name: _writes_outside_replace_file(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    assert len(found) > 5 and {name: calls for name, calls in found.items() if calls} == {}
 
 
 def test_resample_preserves_duration():

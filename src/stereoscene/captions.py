@@ -302,13 +302,6 @@ _SIZE_PHRASE = {
 _ARTICLE_RE = re.compile(r"^(?:a|an|the)\s+", re.IGNORECASE)
 
 
-def _direction_text(label, degrees, bare: bool) -> str:
-    if degrees is not None:
-        return f"at {degrees:g} degrees"
-    table = _DIR_BARE if bare else _DIR_PHRASE
-    return table[label]
-
-
 def _endpoint_text(label, degrees, distance) -> str:
     base = f"{degrees:g} degrees" if degrees is not None else _DIR_BARE[label]
     if distance:
@@ -333,7 +326,7 @@ def generate_caption(record: AttributeRecord, event_phrases: list[str] | None = 
     for attrs, event in zip(record.sources, events):
         if attrs.movement == "still":
             if attrs.direction_degrees is not None:
-                phrase = f"{event} {_direction_text(None, attrs.direction_degrees, True)}"
+                phrase = f"{event} at {attrs.direction_degrees:g} degrees"
             elif single and attrs.direction_label in ("left", "right"):
                 phrase = f"{event} on the {attrs.direction_label} side of the scene"
             else:

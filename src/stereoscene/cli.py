@@ -91,15 +91,15 @@ def _cmd_render_scene(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.export_rir:
+        # before the mix is written, so an unusable RIR path leaves no --out file
+        rir_dir = Path(args.export_rir)
+        rir_dir.mkdir(parents=True, exist_ok=True)
     write_wav(args.out, mix.audio, pcm16=args.pcm16)
     print(f"wrote {args.out}")
     if args.export_rir:
-        rir_dir = Path(args.export_rir)
-        rir_dir.mkdir(parents=True, exist_ok=True)
-        import numpy as np
-
         for i, src in enumerate(scene.sources):
-            rir = stereo_rir_for(scene, np.asarray(src.start_pos))
+            rir = stereo_rir_for(scene, src.start_pos)
             for ch, name in enumerate(("left", "right")):
                 write_wav(rir_dir / f"source{i}_{name}.wav",
                           AudioBuffer(rir.samples[ch], scene.sample_rate))

@@ -474,13 +474,13 @@ def _wav_paths(dir_or_index) -> dict[str, Path]:
 
 
 def _finite_series(path) -> metrics.TdoaSeries | None:
-    """The clip's TDOA series, or None when the clip is missing, unreadable or
-    has non-finite samples."""
+    """The clip's TDOA series, or None when the clip is missing, unreadable,
+    not stereo or has non-finite samples."""
     try:
         buf = read_wav(path)
     except (OSError, AudioFormatError):
         return None
-    if not np.all(np.isfinite(buf.data)):
+    if buf.channels != 2 or not np.all(np.isfinite(buf.data)):
         return None
     return metrics.tdoa_series(buf)
 
@@ -507,18 +507,18 @@ def evaluate(gen_dir, ref_dir_or_index,
     The reference is a WAV directory or an index.jsonl; clips pair by id
     (filename stem). Clips are read and analysed one at a time by
     ``metrics.tdoa_series``; its window features give the embedding for
-    every Frechet distance. A pair whose generated or reference clip has
-    non-finite samples is scored like an unpaired clip: left out of every
-    score and listed in ``skipped``; so is a pair with a missing or unreadable
-    WAV. With ``external_embeddings`` = (gen_dir, ref_dir) of .bin/.json
-    files, every Frechet distance, ``by_subset`` included, uses those vectors
-    of the paired ids instead, and MetricError is raised unless both sets
-    hold every paired id (``crw_mae`` appears when sidecars carry
+    every Frechet distance. A pair whose generated or reference clip is not
+    stereo or has non-finite samples is scored like an unpaired clip: left
+    out of every score and listed in ``skipped``; so is a pair with a missing
+    or unreadable WAV. With ``external_embeddings`` = (gen_dir, ref_dir) of
+    .bin/.json files, every Frechet distance, ``by_subset`` included, uses
+    those vectors of the paired ids instead, and MetricError is raised unless
+    both sets hold every paired id (``crw_mae`` appears when sidecars carry
     ``mean_tdoa_ms``).
     """
     gen = _wav_paths(gen_dir)
     ref = _wav_paths(ref_dir_or_index)
-    # one clip in memory at a time; a pair with a missing, unreadable or
+    # one clip in memory at a time; a pair with a missing, unreadable, mono or
     # non-finite side is left out of every score, like an unpaired clip
     gen_series, ref_series = {}, {}
     for k in sorted(set(gen) & set(ref)):
@@ -552,7 +552,7 @@ def evaluate(gen_dir, ref_dir_or_index,
         if pairs:
             crw_mae = float(np.mean([abs(g - r) for g, r in pairs])) * 100.0
     mae, rows, skipped = metrics.gcc_mae(gen_series, ref_series)
-    ma, ma_skipped = metrics.gcc_ma(gen_series)
+    ma, _ = metrics.gcc_ma(gen_series)
     fsad = _fsad(gen_vecs, ref_vecs, common)
 
     report = metrics.MetricReport(gcc_mae=mae, gcc_ma=ma, fsad=fsad, crw_mae=crw_mae,

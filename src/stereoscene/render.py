@@ -85,7 +85,7 @@ def detect_activity(mono: AudioBuffer) -> list[ActivitySegment]:
     return segments
 
 
-def crop_pad(mono: AudioBuffer, rng: SeededRng | None = None,
+def crop_pad(mono: AudioBuffer, rng: SeededRng,
              target_s: float = TARGET_CLIP_S) -> AudioBuffer:
     """Force a clip to exactly ``target_s`` seconds.
 
@@ -105,7 +105,6 @@ def crop_pad(mono: AudioBuffer, rng: SeededRng | None = None,
         return AudioBuffer(np.pad(x, (0, target_n - x.shape[0])), fs)
 
     segments = detect_activity(mono)
-    rng = rng or SeededRng(0)
     long_enough = [s for s in segments if s.length * fs >= target_n]
     if long_enough:
         seg = long_enough[int(rng.integers(0, len(long_enough)))]

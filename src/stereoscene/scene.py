@@ -389,11 +389,12 @@ def sample_mic_array(room_dims, rng: SeededRng, base_size: float) -> MicArray:
     raise GeometryError(f"cannot place a {2 * half_spacing:.2f} m array inside room {room_dims}")
 
 
-def source_position(mic: MicArray, angle_deg: float, distance: float) -> np.ndarray:
-    """Position at ``angle_deg``/``distance`` from the array center, at mic height."""
+def source_position(mic: MicArray, angle_deg: float, distance: float) -> tuple:
+    """Position at ``angle_deg``/``distance`` from the array center, at mic height,
+    as a float tuple."""
     th = math.radians(angle_deg)
-    c = mic.center
-    return np.array([c[0] + distance * math.sin(th), c[1] + distance * math.cos(th), c[2]])
+    x, y, z = mic.center
+    return (x + distance * math.sin(th), y + distance * math.cos(th), float(z))
 
 
 def max_source_distance(room_dims, mic: MicArray) -> float:
@@ -404,7 +405,8 @@ def max_source_distance(room_dims, mic: MicArray) -> float:
 def sample_source_placement(
     direction, distance_label: str, room_dims, mic: MicArray, rng: SeededRng
 ):
-    """Draw (angle, distance, position) for one source.
+    """Draw (angle, distance, position) for one source; the position is a
+    float tuple, as ``source_position`` gives it.
 
     ``direction`` is either a label (angle ~ N(center, 11 deg), clamped to
     [0, 180]) or an explicit angle in degrees, which bypasses sampling.
@@ -437,76 +439,45 @@ def sample_source_placement(
     raise GeometryError("could not place source inside room after retries")
 
 
-def _pick_end_direction(start_label: str, rng: SeededRng) -> str:
-    options = [lab for lab in DIRECTION_LABELS if lab != start_label]
-    return rng.choice(options)
+def _sample_source(attrs: SourceAttributes, t_total: float, rng: SeededRng, room_dims,
+                   mic: MicArray) -> SourceSpec:
+    """Draw one source of a resolved record from its stream ``rng``.
 
-
-def build_trajectory(
-    placement,
-    movement: str,
-    speed_label: str | None,
-    t_total: float,
-    rng: SeededRng,
-    room_dims,
-    mic: MicArray,
-    distance_label: str = "moderate",
-    end_direction=None,
-    end_distance_label: str | None = None,
-    audio_ref: str = "",
-) -> SourceSpec:
-    """Extend a static placement into a full SourceSpec with motion timing.
-
-    Moving sources get interval T = ratio * t_total (ratio drawn per speed
-    label) starting at U(0, 0.15) * t_total; the end placement reuses the
-    sampler with a direction label different from the start (or the explicit
-    ``end_direction``). Instant sources jump at U(0.2, 0.8) * t_total.
+    The start placement comes first. A moving or instant source then draws its
+    end placement, whose distance label defaults to the start's. An instant
+    source jumps at U(0.2, 0.8) * t_total. A moving source travels for
+    T = ratio * t_total (ratio drawn per speed label), starting at
+    U(0, 0.15) * t_total, so it always arrives within the clip.
     """
-    angle, dist, pos = placement
-    pos_t = tuple(float(x) for x in pos)
-    if movement == "still":
-        return SourceSpec(
-            start_pos=pos_t, end_pos=pos_t, angle=angle, distance=dist,
-            movement="still", audio_ref=audio_ref,
-        )
+    def place(degrees, label, distance_label):
+        return sample_source_placement(label if degrees is None else degrees,
+                                       distance_label, room_dims, mic, rng)
 
-    if end_direction is None:
-        end_direction = _pick_end_direction(nearest_direction_label(angle), rng)
-    end_angle, end_dist, end_pos = sample_source_placement(
-        end_direction, end_distance_label or distance_label, room_dims, mic, rng
-    )
-    end_t = tuple(float(x) for x in end_pos)
-
-    if movement == "instant":
-        t_move = float(rng.uniform(*INSTANT_TIME_FRAC)) * t_total
-        return SourceSpec(
-            start_pos=pos_t, end_pos=end_t, angle=angle, distance=dist,
-            movement="instant", end_angle=end_angle, end_distance=end_dist,
-            instant_time=t_move, audio_ref=audio_ref,
-        )
-
-    if speed_label not in SPEED_RATIO_RANGES:
-        raise ValidationError(f"moving source needs slow/moderate/fast, got {speed_label!r}")
-    ratio = float(rng.uniform(*SPEED_RATIO_RANGES[speed_label]))
-    interval = ratio * t_total
-    t_begin = float(rng.uniform(0.0, MOVE_START_MAX_FRAC)) * t_total
-    if t_begin + interval > t_total + 1e-9:
-        raise AssertionError("motion window exceeds clip length")  # by construction
-    return SourceSpec(
-        start_pos=pos_t, end_pos=end_t, angle=angle, distance=dist,
-        movement="moving", end_angle=end_angle, end_distance=end_dist,
-        speed_ratio=ratio, move_start=t_begin, move_interval=interval,
-        audio_ref=audio_ref,
-    )
+    angle, dist, pos = place(attrs.direction_degrees, attrs.direction_label,
+                             attrs.distance_label)
+    spec = dict(start_pos=pos, angle=angle, distance=dist, movement=attrs.movement,
+                audio_ref=attrs.event)
+    if attrs.movement == "still":
+        return SourceSpec(end_pos=pos, **spec)
+    end_angle, end_dist, end_pos = place(attrs.end_direction_degrees, attrs.end_direction_label,
+                                         attrs.end_distance_label or attrs.distance_label)
+    spec.update(end_pos=end_pos, end_angle=end_angle, end_distance=end_dist)
+    if attrs.movement == "instant":
+        return SourceSpec(instant_time=float(rng.uniform(*INSTANT_TIME_FRAC)) * t_total, **spec)
+    ratio = float(rng.uniform(*SPEED_RATIO_RANGES[attrs.speed_label]))
+    move_start = float(rng.uniform(0.0, MOVE_START_MAX_FRAC)) * t_total
+    return SourceSpec(speed_ratio=ratio, move_start=move_start, move_interval=ratio * t_total,
+                      **spec)
 
 
 def resolve_attributes(record: AttributeRecord, rng: SeededRng) -> AttributeRecord:
     """Fill unspecified labels with uniform draws so every field is concrete.
 
-    Uses stateless substreams ("size-fallback", "source{i}"/"dir-fallback",
-    ...), so resolving is idempotent: calling this (or sample_scene) again
-    with the same rng yields the same record, and specified fields never
-    consume draws.
+    A moving or instant source without an end direction gets a label other
+    than its start's (the nearest label to an explicit start angle). Uses
+    stateless substreams ("size-fallback", "source{i}"/"dir-fallback", ...),
+    so resolving is idempotent: calling this (or sample_scene) again with the
+    same rng yields the same record, and specified fields never consume draws.
     """
     size = record.scene_size_label
     if size is None:
@@ -526,10 +497,7 @@ def resolve_attributes(record: AttributeRecord, rng: SeededRng) -> AttributeReco
                 start_label = nearest_direction_label(attrs.direction_degrees)
             options = [lab for lab in DIRECTION_LABELS if lab != start_label]
             updates["end_direction_label"] = srng.child("end-dir-fallback").choice(options)
-        if updates:
-            sources.append(replace(attrs, **updates))
-        else:
-            sources.append(attrs)
+        sources.append(replace(attrs, **updates))
     return AttributeRecord(scene_size_label=size, sources=tuple(sources),
                            flags=record.flags)
 
@@ -542,36 +510,16 @@ def sample_scene(
 ) -> SceneSpec:
     """Draw a full SceneSpec from an attribute record.
 
-    Substreams: "room" for the room draw, "mic" for the array, "source{i}"
-    per source, so adding a source never perturbs earlier geometry. Labels
-    left unspecified by the record are resolved with resolve_attributes
-    first (same rng, so pre-resolving externally changes nothing).
+    The record is resolved first with resolve_attributes (same rng, so
+    pre-resolving externally changes nothing). Substreams: "room" for the
+    room draw, "mic" for the array, and "source{i}" for each source, which
+    ``_sample_source`` draws from its resolved labels; adding a source never
+    perturbs earlier geometry.
     """
     record = resolve_attributes(record, rng)
     room = sample_room(record.scene_size_label, rng.child("room"))
     mic = sample_mic_array(room.dims, rng.child("mic"), base_size=room.base_size)
-
-    sources = []
-    for i, attrs in enumerate(record.sources):
-        srng = rng.child(f"source{i}")
-        direction = attrs.direction_degrees
-        if direction is None:
-            direction = attrs.direction_label
-        placement = sample_source_placement(direction, attrs.distance_label,
-                                            room.dims, mic, srng)
-        end_direction = attrs.end_direction_degrees
-        if end_direction is None:
-            end_direction = attrs.end_direction_label
-        sources.append(
-            build_trajectory(
-                placement, attrs.movement, attrs.speed_label, duration, srng,
-                room.dims, mic, distance_label=attrs.distance_label,
-                end_direction=end_direction,
-                end_distance_label=attrs.end_distance_label, audio_ref=attrs.event,
-            )
-        )
-
-    return SceneSpec(
-        room_dims=room.dims, rt60=room.rt60, mic_array=mic,
-        sources=tuple(sources), duration=duration, sample_rate=sample_rate,
-    )
+    sources = tuple(_sample_source(attrs, duration, rng.child(f"source{i}"), room.dims, mic)
+                    for i, attrs in enumerate(record.sources))
+    return SceneSpec(room_dims=room.dims, rt60=room.rt60, mic_array=mic, sources=sources,
+                     duration=duration, sample_rate=sample_rate)

@@ -100,6 +100,21 @@ def test_unwritable_output_path_exits_two(workspace, tmp_path, capsys, command, 
     assert not list(tmp_path.glob(".*.tmp"))
 
 
+def test_render_scene_unusable_rir_dir_writes_no_mix(workspace, tmp_path, capsys):
+    # the mix used to be written (and "wrote" printed) before the RIR directory failed
+    _, clip, _ = workspace
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(sample_scene(parse_caption("A dog barks on the left, outdoors."),
+                                       SeededRng(1)).to_json())
+    (tmp_path / "taken").write_text("")
+    out_wav = tmp_path / "out.wav"
+    assert main(["render-scene", "--scene", str(scene_path), "--audio", str(clip),
+                 "--out", str(out_wav), "--export-rir", str(tmp_path / "taken")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "wrote" not in captured.out
+    assert not out_wav.exists()
+
+
 @pytest.mark.parametrize("rate", ["0", "-16000"])
 def test_synthesize_nonpositive_sample_rate_exits_two(workspace, tmp_path, capsys, rate):
     _, _, manifest = workspace

@@ -10,6 +10,7 @@ import pytest
 
 from stereoscene import pipeline, render
 from stereoscene.audio_io import AudioBuffer, read_wav, write_wav
+from stereoscene.cli import main
 from stereoscene.guidance import AzimuthStateMatrix
 from stereoscene.metrics import MetricError
 from stereoscene.pipeline import (
@@ -518,6 +519,18 @@ def test_evaluate_skips_unreadable_clip(synthesized, tmp_path, side):
         bad.write_bytes(bad.read_bytes()[:30])
 
     _evaluate_with_one_bad_clip(synthesized, tmp_path, side, truncate)
+
+
+@pytest.mark.parametrize("side", ["gen", "ref"])
+def test_evaluate_skips_mono_clip(synthesized, tmp_path, capsys, side):
+    # a mono clip used to end the whole run with an error naming no file
+    def downmix(bad):
+        write_wav(bad, AudioBuffer(read_wav(bad).data.mean(axis=1), 16000))
+
+    _evaluate_with_one_bad_clip(synthesized, tmp_path, side, downmix)
+    assert main(["evaluate", "--generated", str(tmp_path / "gen"),
+                 "--reference", str(tmp_path / "ref")]) == 1
+    assert "skipped clips: " in capsys.readouterr().out
 
 
 def _external_dirs(tmp_path, ids, ref_shift=0.0):

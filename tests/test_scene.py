@@ -24,7 +24,7 @@ from stereoscene.scene import (
     SourceAttributes,
     SourceSpec,
     ValidationError,
-    build_trajectory,
+    _sample_source,
     max_source_distance,
     resolve_attributes,
     sample_mic_array,
@@ -181,12 +181,9 @@ def test_speed_ratio_ks(label):
     room = (40.0, 40.0, 40.0)
     mic = MicArray(center=(20.0, 20.0, 20.0), half_spacing=0.085)
     lo, hi = SPEED_RATIO_RANGES[label]
-    ratios = []
-    for _ in range(10000):
-        placement = sample_source_placement("front", "near", room, mic, rng)
-        src = build_trajectory(placement, "moving", label, 10.0, rng, room, mic,
-                               distance_label="near")
-        ratios.append(src.speed_ratio)
+    attrs = SourceAttributes(direction_label="front", distance_label="near", movement="moving",
+                             speed_label=label, end_direction_label="left")
+    ratios = [_sample_source(attrs, 10.0, rng, room, mic).speed_ratio for _ in range(10000)]
     ks = stats.kstest(ratios, stats.uniform(loc=lo, scale=hi - lo).cdf)
     assert ks.pvalue > 0.01
 
@@ -194,25 +191,17 @@ def test_speed_ratio_ks(label):
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
-def test_still_trajectory_constant(noise_clip):
-    rng = SeededRng(41)
-    room = (30.0, 30.0, 30.0)
-    mic = MicArray(center=(15.0, 15.0, 15.0), half_spacing=0.085)
-    placement = sample_source_placement("front", "moderate", room, mic, rng)
-    src = build_trajectory(placement, "still", None, 10.0, rng, room, mic)
+def test_still_trajectory_constant():
+    src = sample_scene(_record("still", "front", "moderate"), SeededRng(41)).sources[0]
     traj = src.trajectory(10.0)
     assert traj.shape == (1000, 3)
     assert np.all(traj == traj[0])
 
 
 def test_moving_slow_occupies_expected_fraction():
-    rng = SeededRng(43)
-    room = (60.0, 60.0, 60.0)
-    mic = MicArray(center=(30.0, 30.0, 30.0), half_spacing=0.085)
-    for _ in range(200):
-        placement = sample_source_placement("right", "moderate", room, mic, rng)
-        src = build_trajectory(placement, "moving", "slow", 10.0, rng, room, mic,
-                               distance_label="moderate")
+    record = _record("moving", "right", "moderate", "slow")
+    for seed in range(200):
+        src = sample_scene(record, SeededRng(43).child(f"{seed}")).sources[0]
         assert 7.5 <= src.move_interval <= 8.5
         assert 0.0 <= src.move_start <= 1.5
         assert src.move_start + src.move_interval <= 10.0 + 1e-9
@@ -263,12 +252,7 @@ def test_positions_match_scalar_rules():
 
 
 def test_moving_trajectory_continuity():
-    rng = SeededRng(47)
-    room = (60.0, 60.0, 60.0)
-    mic = MicArray(center=(30.0, 30.0, 30.0), half_spacing=0.085)
-    placement = sample_source_placement("left", "far", room, mic, rng)
-    src = build_trajectory(placement, "moving", "fast", 10.0, rng, room, mic,
-                           distance_label="far")
+    src = sample_scene(_record("moving", "left", "far", "fast"), SeededRng(47)).sources[0]
     traj = src.trajectory(10.0)
     steps = np.linalg.norm(np.diff(traj, axis=0), axis=1)
     total = np.linalg.norm(np.asarray(src.end_pos) - np.asarray(src.start_pos))
@@ -277,12 +261,7 @@ def test_moving_trajectory_continuity():
 
 
 def test_instant_trajectory_steps_once():
-    rng = SeededRng(53)
-    room = (60.0, 60.0, 60.0)
-    mic = MicArray(center=(30.0, 30.0, 30.0), half_spacing=0.085)
-    placement = sample_source_placement("left", "far", room, mic, rng)
-    src = build_trajectory(placement, "instant", "instant", 10.0, rng, room, mic,
-                           distance_label="far")
+    src = sample_scene(_record("instant", "left", "far", "instant"), SeededRng(53)).sources[0]
     assert 2.0 <= src.instant_time <= 8.0
     traj = src.trajectory(10.0)
     uniq = np.unique(traj, axis=0)
@@ -338,6 +317,19 @@ def test_sampled_scenes_keep_their_digest():
             digest.update(sample_scene(record, SeededRng(seed).child("scene")).to_json().encode())
     assert digest.hexdigest() == (
         "1e4638267a148f53fff87c83819cffff2bb17b1580fc90b4fc7047a379503eea")
+
+
+def test_resolved_records_sample_the_same_scene():
+    # synthesize_entry writes the caption and metadata of the resolved record,
+    # so sampling it must give the scene sampled from the raw record
+    for seed, record in enumerate(_digest_records()):
+        rng = SeededRng(seed)
+        resolved = resolve_attributes(record, rng)
+        assert sample_scene(record, rng) == sample_scene(resolved, rng)
+        for src in resolved.sources:
+            if src.movement != "still" and src.end_direction_degrees is None:
+                assert src.end_direction_label not in (None, src.direction_label)
+
 
 @pytest.mark.slow
 def test_scene_containment_bulk():

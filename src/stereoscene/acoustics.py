@@ -45,20 +45,29 @@ class AcousticsError(ValueError):
 
 @dataclass(frozen=True)
 class RirKernel:
-    """Impulse response, shape (channels, length)."""
+    """Impulse response stored from its first tap: ``taps`` (channels, n)
+    holds columns ``start`` to ``start + n - 1`` of the response, and every
+    column before ``start`` is zero."""
 
-    samples: np.ndarray
+    taps: np.ndarray
     sample_rate: int
+    start: int = 0
 
     def __post_init__(self):
-        s = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
-        if not np.all(np.isfinite(s)):
+        t = np.atleast_2d(np.asarray(self.taps, dtype=np.float64))
+        if not np.all(np.isfinite(t)):
             raise AcousticsError("RIR contains non-finite samples")
-        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "taps", t)
 
     @property
     def length(self) -> int:
-        return self.samples.shape[1]
+        """Full response length in samples, leading zeros included."""
+        return self.start + self.taps.shape[1]
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The full (channels, length) response, built on each call."""
+        return np.pad(self.taps, ((0, 0), (self.start, 0)))
 
 
 def _surface_and_volume(room_dims):
@@ -156,28 +165,32 @@ def _blocks(group_sizes):
     return bounds
 
 
-def _place_impulses(lengths: np.ndarray, m: int, rows: np.ndarray, delays: np.ndarray,
-                    amps: np.ndarray, group_sizes) -> list[np.ndarray]:
+def _place_impulses(lengths: np.ndarray, starts: np.ndarray, m: int, rows: np.ndarray,
+                    delays: np.ndarray, amps: np.ndarray, group_sizes) -> list[np.ndarray]:
     """Sum amplitude-scaled fractional impulses into responses of ``m`` rows.
 
     Response g has ``lengths[g]`` samples per row and takes rows g*m to
-    g*m + m - 1. Impulse i lands in row ``rows[i]`` (non-decreasing) at
-    ``delays[i]`` samples; taps outside the row are dropped. ``group_sizes``
-    counts each response's impulses (see _blocks). The rows sit in one flat
-    buffer with FRAC_DELAY_TAPS of padding on both sides, so a block scatters
-    with one bincount over the span of the rows it touches. Every sample sums
-    the impulses of its own response in input order and block by block, so a
-    response is bit-identical whatever else is in the batch. Returns one
-    (m, lengths[g]) array per response.
+    g*m + m - 1; it is laid out from column ``starts[g]``, before which none
+    of its impulses reaches. Impulse i lands in row ``rows[i]``
+    (non-decreasing) at ``delays[i]`` samples; taps outside the row are
+    dropped. ``group_sizes`` counts each response's impulses (see _blocks).
+    The rows sit in one flat buffer with FRAC_DELAY_TAPS of padding on both
+    sides, so a block scatters with one bincount over the span of the rows it
+    touches. Every sample sums the impulses of its own response in input
+    order and block by block, so a response is bit-identical whatever else
+    is in the batch. Returns columns ``starts[g]:`` of each response, one
+    (m, lengths[g] - starts[g]) array per response.
     """
     pad = FRAC_DELAY_TAPS
     row_len = np.repeat(lengths, m)
-    row_start = np.concatenate([[0], np.cumsum(row_len + 2 * pad)])
+    row_first = np.repeat(starts, m)
+    row_start = np.concatenate([[0], np.cumsum(row_len - row_first + 2 * pad)])
+    row_zero = row_start[:-1] + pad - row_first  # flat index of a row's column 0
     flat = np.zeros(int(row_start[-1]))
     taps = np.arange(FRAC_DELAY_TAPS)
-    for start, stop in _blocks(group_sizes):
-        base, frac_idx = _frac_delay_index(delays[start:stop])
-        block_rows, block_amps = rows[start:stop], amps[start:stop]
+    for first, stop in _blocks(group_sizes):
+        base, frac_idx = _frac_delay_index(delays[first:stop])
+        block_rows, block_amps = rows[first:stop], amps[first:stop]
         lo, hi = row_start[block_rows[0]], row_start[block_rows[-1] + 1]
         reach = (base > -FRAC_DELAY_TAPS) & (base < row_len[block_rows])  # a tap lands in the row
         if not reach.all():
@@ -185,10 +198,10 @@ def _place_impulses(lengths: np.ndarray, m: int, rows: np.ndarray, delays: np.nd
             block_rows, block_amps = block_rows[reach], block_amps[reach]
         kernel = _frac_table()[frac_idx]
         kernel *= block_amps[:, None]
-        idx = (row_start[block_rows] - lo + pad + base)[:, None] + taps
+        idx = (row_zero[block_rows] - lo + base)[:, None] + taps
         flat[lo:hi] += np.bincount(idx.ravel(), weights=kernel.ravel(), minlength=hi - lo)
     return [flat[row_start[g * m]:row_start[g * m + m]].reshape(m, -1)[:, pad:pad + n].copy()
-            for g, n in enumerate(lengths.tolist())]
+            for g, n in enumerate((lengths - starts).tolist())]
 
 
 def _lengths(dims, absorption: float | None, srcs: np.ndarray, mics: np.ndarray,
@@ -253,8 +266,9 @@ def compute_rirs(room_dims, absorption: float | None, sources, mic_pos,
     """compute_rir at each source position of ``sources`` (P, 3), in one pass.
 
     Each response is bit-identical to the one built for its position alone:
-    its own length and image reach, its kept images in the same order, summed
-    in the same blocks. The lattice is built at the batch's largest orders;
+    its own length, image reach and ``start`` (the first column its kept
+    impulses reach), its kept images in the same order, summed in the same
+    blocks. The lattice is built at the batch's largest orders;
     every image outside a position's own lattice lies beyond its reach, and
     the lattice order of the rest is unchanged.
     """
@@ -294,9 +308,14 @@ def compute_rirs(room_dims, absorption: float | None, sources, mic_pos,
     del dist, keep  # the lattice-sized arrays go before the scatter
     amps /= 4.0 * np.pi * np.maximum(d, MIN_SPREAD_DIST)
     rows = np.repeat(np.arange(p * m), counts.ravel())
-    placed = _place_impulses(n_samples, m, rows, d / SPEED_OF_SOUND * fs, amps,
-                             counts.sum(axis=1))
-    return [RirKernel(samples=h, sample_rate=fs) for h in placed]
+    delays = d / SPEED_OF_SOUND * fs
+    group_sizes = counts.sum(axis=1)
+    # np.round is monotonic, so a response's smallest delay has its smallest
+    # kernel base: no tap of it lands before that column
+    nearest = np.minimum.reduceat(delays, np.cumsum(group_sizes) - group_sizes)
+    starts = np.maximum(_frac_delay_index(nearest)[0], 0)
+    placed = _place_impulses(n_samples, starts, m, rows, delays, amps, group_sizes)
+    return [RirKernel(taps=h, sample_rate=fs, start=int(s)) for h, s in zip(placed, starts)]
 
 
 def next_fast_len(n: int) -> int:
@@ -366,7 +385,9 @@ def render_static(mono: AudioBuffer, rir: RirKernel) -> AudioBuffer:
             f"sample-rate mismatch: clip {mono.sample_rate}, rir {rir.sample_rate}"
         )
     n = mono.n_samples
-    out = np.ascontiguousarray(stereo_convolve(mono.data, rir.samples)[:, :n].T)
+    first = min(rir.start, n)
+    out = np.zeros((n, 2))
+    out[first:] = stereo_convolve(mono.data, rir.taps)[:, :n - first].T
     return AudioBuffer(out, mono.sample_rate)
 
 

@@ -425,7 +425,8 @@ def _validate_row(dataset_dir: Path, row: dict, report: ValidationReport) -> Non
     except cap.CaptionParseError as exc:
         report.add(clip_id, "caption_parse", str(exc))
 
-    if row["subset"] == "SS" and scene.sources[0].movement == "still":
+    # a buffer flagged above as not stereo has no TDOA to check
+    if buf.channels == 2 and row["subset"] == "SS" and scene.sources[0].movement == "still":
         series = metrics.tdoa_series(buf)
         vals = series.valid_values()
         if vals.size == 0:

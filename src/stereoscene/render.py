@@ -23,7 +23,9 @@ ACTIVITY_THRESHOLD_DBFS = -40.0
 MIN_SEGMENT_S = 1.0
 TARGET_CLIP_S = 10.0
 MOVING_HOP_S = 0.01
-_JOB_RUNS_ANECHOIC = 32  # runs per job outdoors
+# runs per job outdoors: a free-field response stores about 120 taps plus the
+# ITD at any distance, so a stack of 256 one-grain runs stays small
+_JOB_RUNS_ANECHOIC = 256
 _JOB_RUNS = 8  # runs per job in a room: one batched RIR build, one stacked FFT
 # threads rendering one moving source, the calling thread included; worker
 # processes of a multi-process synthesize set it to 1
@@ -68,21 +70,14 @@ def detect_activity(mono: AudioBuffer) -> list[ActivitySegment]:
     frame_rms = np.sqrt((sq[starts + win] - sq[starts]) / win)
     active = frame_rms >= threshold_rms
 
-    segments = []
-    i = 0
-    while i < n_frames:
-        if not active[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n_frames and active[j + 1]:
-            j += 1
-        start_s = starts[i] / fs
-        end_s = min((starts[j] + win) / fs, mono.duration)
-        if end_s - start_s >= MIN_SEGMENT_S:
-            segments.append(ActivitySegment(start=start_s, end=end_s))
-        i = j + 1
-    return segments
+    # +1 where a run of active frames begins, -1 one frame after it ends
+    edges = np.diff(active.astype(np.int8), prepend=0, append=0)
+    first, last = np.flatnonzero(edges > 0), np.flatnonzero(edges < 0) - 1
+    start_s = starts[first] / fs
+    end_s = np.minimum((starts[last] + win) / fs, mono.duration)
+    keep = end_s - start_s >= MIN_SEGMENT_S
+    return [ActivitySegment(start=a, end=b)
+            for a, b in zip(start_s[keep].tolist(), end_s[keep].tolist())]
 
 
 def crop_pad(mono: AudioBuffer, rng: SeededRng,
@@ -181,8 +176,9 @@ def render_moving(mono: AudioBuffer, scene: SceneSpec, source: SourceSpec) -> Au
     out = np.zeros((n, 2))
     for segments in _run_jobs(tasks, threads):
         for start, seg in segments:
-            stop = min(start + seg.shape[1], n)
-            out[start:stop] += seg[:, :stop - start].T
+            if start < n:  # a far response can start past the clip's end
+                stop = min(start + seg.shape[1], n)
+                out[start:stop] += seg[:, :stop - start].T
     return AudioBuffer(out, fs)
 
 
@@ -205,11 +201,12 @@ def _run_jobs(tasks, threads: int):
 
 def _render_runs(x, ramp, scene, positions, firsts, lasts):
     """[(start, (2, L) segment)] for the runs of grains firsts[i]..lasts[i],
-    each through the response at its first grain's position.
+    each through the stored taps of the response at its first grain's
+    position and placed ``rir.start`` samples after the run.
 
     The responses come from one batch. A run of several grains is convolved
     alone; the one-grain runs are convolved in one stack, whose FFT is sized
-    by their longest response. A run rises over its first hop, unless it
+    by their longest stored taps. A run rises over its first hop, unless it
     starts the clip, and falls over its last; between them each fall + rise
     sums to exactly 1.
     """
@@ -226,21 +223,21 @@ def _render_runs(x, ramp, scene, positions, firsts, lasts):
         # empty for the clip's last grain, which ends the input
         fall = seg_in[(j1 + 1 - j0) * hop:]
         fall *= (1.0 - ramp)[:fall.size]
-        segments.append((j0 * hop, stereo_convolve(seg_in, rir.samples)))
+        segments.append((j0 * hop + rir.start, stereo_convolve(seg_in, rir.taps)))
     if singles:
-        taps = max(rir.length for _, rir in singles)
+        taps = max(rir.taps.shape[1] for _, rir in singles)
         nfft = next_fast_len(2 * hop + taps - 1)
         inputs = np.zeros((len(singles), 2 * hop))
         kernels = np.zeros((len(singles), 2, taps))
         for i, (j, rir) in enumerate(singles):
             grain = x[j * hop:(j + 2) * hop]
             inputs[i, :grain.size] = grain
-            kernels[i, :, :rir.length] = rir.samples
+            kernels[i, :, :rir.taps.shape[1]] = rir.taps
         # the clip's first grain does not rise; its last holds no input to fall
         inputs[[j > 0 for j, _ in singles], :hop] *= ramp
         inputs[:, hop:] *= 1.0 - ramp
         segs = irfft(rfft(inputs, nfft)[:, None, :] * rfft(kernels, nfft), nfft)
-        segments += [(j * hop, segs[i, :, :2 * hop + rir.length - 1])
+        segments += [(j * hop + rir.start, segs[i, :, :2 * hop + rir.taps.shape[1] - 1])
                      for i, (j, rir) in enumerate(singles)]
     return segments
 

@@ -254,6 +254,7 @@ def test_compute_rirs_matches_per_position():
         assert len(got) == len(srcs)
         for src, rir in zip(srcs, got):
             want = compute_rir(dims, absorption, src, mics, fs=16000)
+            assert rir.start == want.start
             assert np.array_equal(rir.samples, want.samples)
         lengths = np.array([rir.length for rir in got])  # differ across the batch
         assert np.unique(lengths).size == len(srcs)
@@ -273,7 +274,30 @@ def test_direct_path_rirs_matches_per_position():
     assert len({rir.length for rir in got}) == len(srcs)
     for src, rir in zip(srcs, got):
         want = compute_rir(dims, None, src, mics, fs=16000)
+        assert rir.start == want.start
         assert np.array_equal(rir.samples, want.samples)
+    assert len({rir.start for rir in got}) == len(srcs)
+
+
+@pytest.mark.parametrize("size", ["outdoors", "small", "moderate"])
+def test_rir_stored_from_its_first_tap(size):
+    # every column before start is zero, and start lies at most
+    # FRAC_DELAY_TAPS - 1 columns before the first non-zero one
+    starts = []
+    for i, (direction, distance) in enumerate(itertools.product(
+            ("left", "front", "front_right"), ("far", "moderate", "near"))):
+        rec = AttributeRecord(size, (SourceAttributes(
+            event="x", direction_label=direction, distance_label=distance),))
+        scene = sample_scene(rec, SeededRng(2500 + i))
+        rir = stereo_rir_for(scene, scene.sources[0].start_pos)
+        h = rir.samples
+        assert h.shape == (2, rir.length)
+        assert np.array_equal(h[:, rir.start:], rir.taps)
+        assert not h[:, :rir.start].any()
+        first = int(np.flatnonzero(h.any(axis=0))[0])
+        assert rir.start <= first <= rir.start + FRAC_DELAY_TAPS - 1
+        starts.append(rir.start)
+    assert max(starts) > 0
 
 
 def test_outdoor_mode_equals_full_absorption_ism():

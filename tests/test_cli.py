@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stereoscene.acoustics import stereo_rir_for
 from stereoscene.audio_io import AudioBuffer, read_wav, write_wav
 from stereoscene.captions import parse_caption
 from stereoscene.cli import main
 from stereoscene.rng import SeededRng
-from stereoscene.scene import sample_scene
+from stereoscene.scene import SceneSpec, sample_scene
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +240,11 @@ def test_render_scene_with_rir_export(workspace, dataset, tmp_path, capsys):
     assert exported == ["source0_left.wav", "source0_right.wav"]
     rir = read_wav(rir_dir / "source0_left.wav")
     assert rir.channels == 1 and np.any(rir.data)
+    # the whole response, leading zeros included
+    scene = SceneSpec.from_json(scene_path.read_text())
+    full = stereo_rir_for(scene, scene.sources[0].start_pos)
+    assert full.start > 0 and rir.n_samples == full.length
+    assert read_wav(rir_dir / "source0_right.wav").n_samples == full.length
 
 
 @pytest.mark.parametrize("defect", ["fmt chunk shorter than declared", "No such file",

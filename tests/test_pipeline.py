@@ -351,6 +351,21 @@ def test_dead_channel_flagged_and_skipped(synthesized, tmp_path):
     assert "ss-a" in scores.skipped
 
 
+def test_mono_still_ss_clip_flagged_once(synthesized, tmp_path):
+    # the TDOA geometry check used to run on the mono buffer as well, and its
+    # MetricError added an "unreadable" violation
+    out, index = synthesized
+    import shutil
+
+    broken = tmp_path / "mono"
+    shutil.copytree(out, broken)
+    row = next(r for r in index.rows if r["id"] == "ss-a")
+    buf = read_wav(broken / row["wav"])
+    write_wav(broken / row["wav"], AudioBuffer(buf.data.mean(axis=1), 16000))
+    report = validate(broken)
+    assert [(v["id"], v["kind"]) for v in report.violations] == [("ss-a", "channels")]
+
+
 def test_truncated_wav_flagged(synthesized, tmp_path):
     out, index = synthesized
     import shutil

@@ -2,13 +2,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import oaconvolve
 
 from stereoscene import render
 from stereoscene.acoustics import render_static, stereo_rir_for, stereo_rirs_for
 from stereoscene.audio_io import AudioBuffer
 from stereoscene.render import (
+    ACTIVITY_HOP_S,
+    ACTIVITY_THRESHOLD_DBFS,
+    ACTIVITY_WINDOW_S,
+    MIN_SEGMENT_S,
     MOVING_HOP_S,
+    ActivitySegment,
     RenderError,
     crop_pad,
     detect_activity,
@@ -58,6 +65,47 @@ def test_two_separated_segments():
     segs = detect_activity(AudioBuffer(x, 16000))
     assert len(segs) == 2
     assert abs(segs[0].start - 1.0) < 0.05 and abs(segs[1].end - 9.0) < 0.05
+
+
+def _detect_activity_loop(mono):
+    """detect_activity with its frame-by-frame merge loop: the reference."""
+    x = np.asarray(mono.data, dtype=np.float64)
+    fs = mono.sample_rate
+    win = max(1, int(round(ACTIVITY_WINDOW_S * fs)))
+    hop = max(1, int(round(ACTIVITY_HOP_S * fs)))
+    if x.size < win:
+        x = np.pad(x, (0, win - x.size))
+    n_frames = 1 + (x.size - win) // hop
+    starts = np.arange(n_frames) * hop
+    sq = np.concatenate([[0.0], np.cumsum(np.square(x))])
+    active = np.sqrt((sq[starts + win] - sq[starts]) / win) >= 10.0 ** (ACTIVITY_THRESHOLD_DBFS / 20.0)
+    segments = []
+    i = 0
+    while i < n_frames:
+        if not active[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n_frames and active[j + 1]:
+            j += 1
+        start_s = starts[i] / fs
+        end_s = min((starts[j] + win) / fs, mono.duration)
+        if end_s - start_s >= MIN_SEGMENT_S:
+            segments.append(ActivitySegment(start=start_s, end=end_s))
+        i = j + 1
+    return segments
+
+
+@settings(max_examples=60, deadline=None)
+@given(fs=st.sampled_from([8000, 16000, 22050]),
+       runs=st.lists(st.tuples(st.booleans(), st.integers(1, 2500)), min_size=1, max_size=10))
+def test_detect_activity_matches_frame_loop(fs, runs):
+    # gated runs of random length (ms), loud or quiet, cut anywhere in a frame
+    x = np.concatenate([np.full(max(1, ms * fs // 1000), 0.1 if loud else 1e-3)
+                        for loud, ms in runs])
+    buf = AudioBuffer(x, fs)
+    got = [(s.start, s.end) for s in detect_activity(buf)]
+    assert got == [(s.start, s.end) for s in _detect_activity_loop(buf)]
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +190,13 @@ def _degenerate_motion(noise_clip):
     src = SourceSpec(start_pos=pos, end_pos=pos, angle=70.0, distance=12.0,
                      movement="moving", end_angle=70.0, end_distance=12.0,
                      speed_ratio=0.5, move_start=1.0, move_interval=5.0)
+    return noise_clip, open_field_scene([src]), src
+
+
+def _far_outdoor_sweep(noise_clip):
+    # 40 m away, every response starts about 1,820 samples in, so the runs
+    # near the clip's end are placed past it
+    src = moving_source(30.0, 150.0, 40.0)
     return noise_clip, open_field_scene([src]), src
 
 
@@ -243,8 +298,9 @@ def _per_grain_reference(mono, scene, source, rir_for):
     return out
 
 
-@pytest.mark.parametrize("case", [_outdoor_sweep, _small_room_sweep, _small_room_full_sweep,
-                                  _degenerate_motion, _outdoor_jump, _small_room_jump])
+@pytest.mark.parametrize("case", [_outdoor_sweep, _far_outdoor_sweep, _small_room_sweep,
+                                  _small_room_full_sweep, _degenerate_motion, _outdoor_jump,
+                                  _small_room_jump])
 def test_moving_render_matches_per_grain_reference(case, noise_clip, monkeypatch):
     clip, scene, src = case(noise_clip)
     built, calls = {}, []

@@ -13,7 +13,6 @@ from . import captions as cap
 from . import metrics, pipeline
 from .audio_io import AudioBuffer, replace_file, write_wav
 from .acoustics import stereo_rir_for
-from .render import mix_scene
 from .rng import SeededRng
 from .scene import SceneSpec
 
@@ -87,7 +86,8 @@ def _cmd_parse_captions(args) -> int:
 def _cmd_render_scene(args) -> int:
     try:
         scene = SceneSpec.from_json(Path(args.scene).read_text())
-        mix = mix_scene(pipeline.render_sources(scene, args.audio, SeededRng(args.seed)))
+        final, gain = pipeline.master(
+            pipeline.mix_scene(pipeline.render_sources(scene, args.audio, SeededRng(args.seed))))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -95,8 +95,8 @@ def _cmd_render_scene(args) -> int:
         # before the mix is written, so an unusable RIR path leaves no --out file
         rir_dir = Path(args.export_rir)
         rir_dir.mkdir(parents=True, exist_ok=True)
-    write_wav(args.out, mix.audio, pcm16=args.pcm16)
-    print(f"wrote {args.out}")
+    write_wav(args.out, final, pcm16=args.pcm16)
+    print(f"wrote {args.out} (master gain {gain!r})")
     if args.export_rir:
         for i, src in enumerate(scene.sources):
             rir = stereo_rir_for(scene, src.start_pos)

@@ -184,6 +184,16 @@ def render_sources(scene: SceneSpec, audio_paths, rng: SeededRng) -> list[AudioB
     return rendered
 
 
+def master(mix: AudioBuffer) -> tuple[AudioBuffer, float]:
+    """``mix`` scaled to a MASTER_PEAK_DBFS peak, so the -16 dBFS metric gate
+    sees the content, and the gain applied; ValueError if it is not finite."""
+    peak = float(np.max(np.abs(mix.data)))
+    gain = 10.0 ** (MASTER_PEAK_DBFS / 20.0) / peak if peak > 0 else 1.0
+    final = AudioBuffer(mix.data * gain, mix.sample_rate)
+    _require_finite(final.data, "master mix")
+    return final, gain
+
+
 def synthesize_entry(entry: ManifestEntry, out_dir, global_seed: int,
                      sample_rate: int = 16000, duration: float = 10.0,
                      pcm16: bool = False) -> dict:
@@ -202,14 +212,7 @@ def synthesize_entry(entry: ManifestEntry, out_dir, global_seed: int,
     scene = sample_scene(record, rng.child("scene"), duration=duration,
                          sample_rate=sample_rate)
 
-    mix = mix_scene(render_sources(scene, entry.audio_paths, rng))
-
-    # condition the master level so the -16 dBFS metric gate sees the content
-    peak = float(np.max(np.abs(mix.audio.data)))
-    target = 10.0 ** (MASTER_PEAK_DBFS / 20.0)
-    master_gain = target / peak if peak > 0 else 1.0
-    final = AudioBuffer(mix.audio.data * master_gain, sample_rate)
-    _require_finite(final.data, "master mix")
+    final, master_gain = master(mix_scene(render_sources(scene, entry.audio_paths, rng)))
 
     caption = cap.generate_caption(record, events)
     coarse, fine = guidance.matrices_for_scene(scene)
@@ -222,10 +225,6 @@ def synthesize_entry(entry: ManifestEntry, out_dir, global_seed: int,
     write_wav(wav_path, final, pcm16=pcm16)
     coarse.save(coarse_path)
     fine.save(fine_path)
-    trajectories = {
-        str(i): np.round(src.trajectory(duration), 6).tolist()
-        for i, src in enumerate(scene.sources) if src.movement != "still"
-    }
     meta = {
         "id": entry.clip_id,
         "subset": entry.subset,
@@ -233,10 +232,8 @@ def synthesize_entry(entry: ManifestEntry, out_dir, global_seed: int,
         "caption": caption,
         "attributes": record.to_dict(),
         "scene": json.loads(scene.to_json()),
-        "source_gains": list(mix.gains),
         "master_gain": master_gain,
         "source_audio": list(entry.audio_paths),
-        "trajectories_10ms": trajectories,
     }
     replace_file(meta_path, json.dumps(meta, indent=2, sort_keys=True).encode())
 
@@ -462,16 +459,20 @@ def _labels_match(a: AttributeRecord, b: AttributeRecord) -> bool:
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-def _wav_paths(dir_or_index) -> dict[str, Path]:
-    """WAV paths by clip id from a directory, or from an index.jsonl's listed rows."""
+def _wav_paths(dir_or_index) -> tuple[dict[str, Path], dict[str, str]]:
+    """WAV paths and subset tags by clip id: from an index.jsonl's listed rows,
+    or from a directory's WAV files and the rows of its index.jsonl, if any."""
     path = Path(dir_or_index)
-    if path.is_file() and path.suffix == ".jsonl":
-        paths = {row["id"]: path.parent / row["wav"] for row in DatasetIndex.load(path).rows}
+    listed = path.is_file() and path.suffix == ".jsonl"
+    index_path = path if listed else path / "index.jsonl"
+    rows = DatasetIndex.load(index_path).rows if index_path.is_file() else []
+    if listed:
+        paths = {row["id"]: path.parent / row["wav"] for row in rows}
     else:
         paths = {p.stem: p for p in sorted(path.glob("*.wav"))}
     if not paths:
         raise ManifestError(f"no WAV files in {dir_or_index}")
-    return paths
+    return paths, {row["id"]: row.get("subset", "?") for row in rows}
 
 
 def _finite_series(path) -> metrics.TdoaSeries | None:
@@ -484,14 +485,6 @@ def _finite_series(path) -> metrics.TdoaSeries | None:
     if buf.channels != 2 or not np.all(np.isfinite(buf.data)):
         return None
     return metrics.tdoa_series(buf)
-
-
-def _subset_tags(directory) -> dict[str, str]:
-    directory = Path(directory)
-    index_path = directory / "index.jsonl"
-    if not index_path.exists():
-        return {}
-    return {row["id"]: row.get("subset", "?") for row in DatasetIndex.load(index_path).rows}
 
 
 def _fsad(gen_vecs: dict, ref_vecs: dict, ids: list[str]) -> float:
@@ -517,8 +510,8 @@ def evaluate(gen_dir, ref_dir_or_index,
     both sets hold every paired id (``crw_mae`` appears when sidecars carry
     ``mean_tdoa_ms``).
     """
-    gen = _wav_paths(gen_dir)
-    ref = _wav_paths(ref_dir_or_index)
+    gen, tags = _wav_paths(gen_dir)
+    ref, _ = _wav_paths(ref_dir_or_index)
     # one clip in memory at a time; a pair with a missing, unreadable, mono or
     # non-finite side is left out of every score, like an unpaired clip
     gen_series, ref_series = {}, {}
@@ -559,19 +552,17 @@ def evaluate(gen_dir, ref_dir_or_index,
     report = metrics.MetricReport(gcc_mae=mae, gcc_ma=ma, fsad=fsad, crw_mae=crw_mae,
                                   rows=rows, skipped=sorted(set(skipped + unpaired)))
 
-    tags = _subset_tags(gen_dir)
-    if tags:
-        for subset in SUBSETS:
-            ids = [k for k in common if tags.get(k) == subset]
-            if len(ids) < 2:
-                continue
-            s_mae, _, _ = metrics.gcc_mae({k: gen_series[k] for k in ids},
-                                          {k: ref_series[k] for k in ids})
-            s_ma, _ = metrics.gcc_ma({k: gen_series[k] for k in ids})
-            report.by_subset[subset] = {
-                "gcc_mae": s_mae,
-                "gcc_ma": s_ma,
-                "fsad": _fsad(gen_vecs, ref_vecs, ids),
-                "count": len(ids),
-            }
+    for subset in SUBSETS:
+        ids = [k for k in common if tags.get(k) == subset]
+        if len(ids) < 2:
+            continue
+        s_mae, _, _ = metrics.gcc_mae({k: gen_series[k] for k in ids},
+                                      {k: ref_series[k] for k in ids})
+        s_ma, _ = metrics.gcc_ma({k: gen_series[k] for k in ids})
+        report.by_subset[subset] = {
+            "gcc_mae": s_mae,
+            "gcc_ma": s_ma,
+            "fsad": _fsad(gen_vecs, ref_vecs, ids),
+            "count": len(ids),
+        }
     return report

@@ -31,7 +31,6 @@ _JOB_RUNS = 8  # runs per job in a room: one batched RIR build, one stacked FFT
 # processes of a multi-process synthesize set it to 1
 RENDER_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
-MIX_CEILING_DBFS = -1.0
 
 
 class RenderError(ValueError):
@@ -242,18 +241,8 @@ def _render_runs(x, ramp, scene, positions, firsts, lasts):
     return segments
 
 
-@dataclass(frozen=True)
-class MixResult:
-    audio: AudioBuffer
-    gains: tuple[float, ...]
-
-
-def mix_scene(rendered: list[AudioBuffer]) -> MixResult:
-    """Sample-wise sum of the rendered sources.
-
-    Peak-normalizes to -1 dBFS only when the sum would clip; the common gain
-    applied to every source is recorded for metadata.
-    """
+def mix_scene(rendered: list[AudioBuffer]) -> AudioBuffer:
+    """Sample-wise stereo sum of the rendered sources, unscaled."""
     if not rendered:
         raise RenderError("nothing to mix")
     n = rendered[0].n_samples
@@ -267,8 +256,4 @@ def mix_scene(rendered: list[AudioBuffer]) -> MixResult:
     for buf in rendered:
         data = buf.data if buf.channels == 2 else np.stack([buf.data, buf.data], axis=1)
         total += data
-    ceiling = 10.0 ** (MIX_CEILING_DBFS / 20.0)
-    peak = float(np.max(np.abs(total))) if total.size else 0.0
-    gain = ceiling / peak if peak > ceiling else 1.0
-    return MixResult(audio=AudioBuffer(total * gain, fs),
-                     gains=tuple([gain] * len(rendered)))
+    return AudioBuffer(total, fs)

@@ -239,11 +239,6 @@ class SourceSpec:
         moved = start + (t - t0) / dur * (end - start)
         return np.where(t < t0, start, np.where(t >= t0 + dur, end, moved))
 
-    def trajectory(self, t_total: float, hop_s: float = 0.01) -> np.ndarray:
-        """Positions sampled every ``hop_s`` seconds, shape (n, 3)."""
-        n = int(round(t_total / hop_s))
-        return self.positions(np.arange(n) * hop_s)
-
 
 @dataclass(frozen=True)
 class SceneSpec:

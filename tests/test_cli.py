@@ -247,6 +247,20 @@ def test_render_scene_with_rir_export(workspace, dataset, tmp_path, capsys):
     assert read_wav(rir_dir / "source0_right.wav").n_samples == full.length
 
 
+def test_render_scene_masters_like_synthesize(workspace, dataset, tmp_path, capsys):
+    # a stored scene, its source audio and its seed give the clip's WAV bytes
+    for row in map(json.loads, (dataset / "index.jsonl").read_text().splitlines()):
+        meta = json.loads((dataset / row["metadata"]).read_text())
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(meta["scene"]))
+        out_wav = tmp_path / f"{row['id']}.wav"
+        assert main(["render-scene", "--scene", str(scene_path), "--audio",
+                     *meta["source_audio"], "--out", str(out_wav),
+                     "--seed", str(meta["seed"])]) == 0
+        assert out_wav.read_bytes() == (dataset / row["wav"]).read_bytes()
+        assert f"(master gain {meta['master_gain']!r})" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("defect", ["fmt chunk shorter than declared", "No such file",
                                     "non-finite sample(s)"])
 def test_render_scene_unreadable_audio_exits_two(workspace, tmp_path, capsys, defect):

@@ -23,6 +23,7 @@ from stereoscene.pipeline import (
     synthesize_entry,
     validate,
 )
+from stereoscene.scene import SceneSpec
 
 
 @pytest.fixture(scope="module")
@@ -199,9 +200,56 @@ def test_metadata_records_gains_and_seed(synthesized):
     out, index = synthesized
     for row in index.rows:
         meta = json.loads((out / row["metadata"]).read_text())
-        assert len(meta["source_gains"]) == len(meta["scene"]["sources"])
         assert meta["master_gain"] > 0
         assert meta["seed"] == row["seed"]
+
+
+def test_metadata_holds_exactly_the_listed_keys(synthesized):
+    # the keys the README lists; a field the scene can rebuild stays out
+    out, index = synthesized
+    for row in index.rows:
+        meta = json.loads((out / row["metadata"]).read_text())
+        assert sorted(meta) == sorted(("id", "subset", "seed", "caption", "attributes",
+                                       "scene", "master_gain", "source_audio"))
+
+
+def _trajectories_10ms(scene_json: dict) -> dict:
+    """The README's rebuild of the dropped ``trajectories_10ms`` field."""
+    scene = SceneSpec.from_json(json.dumps(scene_json))
+    grid = np.arange(round(scene.duration / 0.01)) * 0.01
+    return {str(i): np.round(src.positions(grid), 6).tolist()
+            for i, src in enumerate(scene.sources) if src.movement != "still"}
+
+
+def test_stored_trajectories_rebuild_from_the_stored_scene():
+    """The ``trajectories_10ms`` that metadata used to hold, rebuilt bit for
+    bit from the stored scene by the README recipe. The fixture keeps the
+    scene and that field of two 2 s outdoor clips as ``synthesize`` wrote them
+    (perfbench's outdoor manifest at seed 7: ``sd00`` moves, and ``m01`` holds
+    a still, a moving and an instant source)."""
+    stored = json.loads((Path(__file__).parent / "data" / "trajectories_10ms.json").read_text())
+    assert sorted(stored) == ["m01", "sd00"]
+    for clip in stored.values():
+        rebuilt = _trajectories_10ms(clip["scene"])
+        assert rebuilt == clip["trajectories_10ms"]
+        assert all(len({tuple(p) for p in t}) > 1 for t in rebuilt.values())
+
+
+def test_tree_with_the_dropped_metadata_fields_validates_clean(synthesized, tmp_path):
+    # metadata written before trajectories_10ms and source_gains were dropped
+    out, index = synthesized
+    import shutil
+
+    old = tmp_path / "old_tree"
+    shutil.copytree(out, old)
+    for row in index.rows:
+        meta = json.loads((old / row["metadata"]).read_text())
+        meta["trajectories_10ms"] = _trajectories_10ms(meta["scene"])
+        meta["source_gains"] = [1.0] * len(meta["scene"]["sources"])
+        (old / row["metadata"]).write_text(json.dumps(meta, indent=2, sort_keys=True))
+    report = validate(old)
+    assert report.checked == len(index.rows)
+    assert report.ok, report.violations
 
 
 def test_failures_are_isolated(tmp_path, clip_dir):
@@ -273,7 +321,8 @@ def test_indoor_moving_byte_identical_across_workers_and_threads(tmp_path, clip_
         assert [r["id"] for r in index.rows] == ["ss-a", "sd-in"]
         digests.append(_tree_digest(out))
     meta = json.loads((out / "sd-in.json").read_text())
-    assert meta["scene"]["rt60"] is not None and meta["trajectories_10ms"]
+    assert meta["scene"]["rt60"] is not None
+    assert meta["scene"]["sources"][0]["movement"] == "moving"
     assert digests[0] == digests[1] == digests[2]
 
 
@@ -467,6 +516,15 @@ def test_evaluate_accepts_index_as_reference(synthesized):
     report = evaluate(out, out / "index.jsonl")
     assert report.gcc_mae == 0.0
     assert report.fsad < 1e-6
+
+
+def test_evaluate_reads_subsets_from_a_generated_index(synthesized):
+    # a generated set named by its index.jsonl scores like its directory
+    out, _ = synthesized
+    by_dir = evaluate(out, out).to_dict()
+    by_index = evaluate(out / "index.jsonl", out).to_dict()
+    assert sorted(by_dir["by_subset"]) == ["SD", "SS"]
+    assert by_index == by_dir
 
 
 def test_evaluate_unpaired_reported(synthesized, tmp_path):
@@ -668,7 +726,8 @@ def test_m_set_upper_cardinality_four_sources(tmp_path, clip_dir):
     assert wav.channels == 2 and wav.n_samples == 160000
     meta = json.loads((tmp_path / row["metadata"]).read_text())
     assert len(meta["scene"]["sources"]) == 4
-    assert len(meta["trajectories_10ms"]) == 2  # moving + instant sources
+    movements = [src["movement"] for src in meta["scene"]["sources"]]
+    assert movements == ["still", "still", "moving", "instant"]
     coarse = AzimuthStateMatrix.load(tmp_path / row["coarse_matrix"])
     assert coarse.data.shape[0] == 4
 

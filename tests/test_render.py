@@ -9,6 +9,7 @@ from scipy.signal import oaconvolve
 from stereoscene import render
 from stereoscene.acoustics import render_static, stereo_rir_for, stereo_rirs_for
 from stereoscene.audio_io import AudioBuffer
+from stereoscene.pipeline import master
 from stereoscene.render import (
     ACTIVITY_HOP_S,
     ACTIVITY_THRESHOLD_DBFS,
@@ -398,33 +399,33 @@ def test_mix_single_source_identity():
     rng = np.random.default_rng(2)
     x = _stereo(rng.standard_normal(8000) * 0.1)
     out = mix_scene([x])
-    np.testing.assert_array_equal(out.audio.data, x.data)
-    assert out.gains == (1.0,)
+    np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_mix_cancellation():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(8000) * 0.4
     out = mix_scene([_stereo(x), _stereo(-x)])
-    assert np.all(out.audio.data == 0)
+    assert np.all(out.data == 0)
 
 
 def test_mix_normalizes_on_clipping():
+    # the mix is a plain sum; mastering alone brings a clipping sum to -1 dBFS
     x = _stereo(np.ones(1000) * 0.9)
-    out = mix_scene([x, x])
-    peak = np.abs(out.audio.data).max()
-    assert peak <= 10 ** (-1 / 20) + 1e-12
-    assert out.gains[0] < 1.0
+    out, gain = master(mix_scene([x, x]))
+    peak = np.abs(out.data).max()
+    assert abs(peak - 10 ** (-1 / 20)) <= 1e-12
+    assert gain < 1.0
 
 
 def test_mix_commutative_and_associative():
     rng = np.random.default_rng(4)
     parts = [_stereo(rng.standard_normal(4000) * 0.1) for _ in range(3)]
-    a = mix_scene(parts).audio.data
-    b = mix_scene(parts[::-1]).audio.data
+    a = mix_scene(parts).data
+    b = mix_scene(parts[::-1]).data
     np.testing.assert_allclose(a, b, atol=1e-15)
-    ab = mix_scene([AudioBuffer(mix_scene(parts[:2]).audio.data, 16000), parts[2]])
-    np.testing.assert_allclose(ab.audio.data, a, atol=1e-15)
+    ab = mix_scene([mix_scene(parts[:2]), parts[2]])
+    np.testing.assert_allclose(ab.data, a, atol=1e-15)
 
 
 def test_mix_length_mismatch_rejected():

@@ -191,9 +191,12 @@ def test_speed_ratio_ks(label):
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
+GRID_10MS = np.arange(1000) * 0.01  # a 10 s clip's 10 ms grid
+
+
 def test_still_trajectory_constant():
     src = sample_scene(_record("still", "front", "moderate"), SeededRng(41)).sources[0]
-    traj = src.trajectory(10.0)
+    traj = src.positions(GRID_10MS)
     assert traj.shape == (1000, 3)
     assert np.all(traj == traj[0])
 
@@ -248,12 +251,12 @@ def test_positions_match_scalar_rules():
     for src in sources:
         want = np.stack([_scalar_position(src, t) for t in times.tolist()])
         assert np.array_equal(src.positions(times), want)
-        assert np.array_equal(src.trajectory(1.2), want[:120])
+        assert np.array_equal(src.positions(GRID_10MS[:120]), want[:120])
 
 
 def test_moving_trajectory_continuity():
     src = sample_scene(_record("moving", "left", "far", "fast"), SeededRng(47)).sources[0]
-    traj = src.trajectory(10.0)
+    traj = src.positions(GRID_10MS)
     steps = np.linalg.norm(np.diff(traj, axis=0), axis=1)
     total = np.linalg.norm(np.asarray(src.end_pos) - np.asarray(src.start_pos))
     v = total / src.move_interval
@@ -263,7 +266,7 @@ def test_moving_trajectory_continuity():
 def test_instant_trajectory_steps_once():
     src = sample_scene(_record("instant", "left", "far", "instant"), SeededRng(53)).sources[0]
     assert 2.0 <= src.instant_time <= 8.0
-    traj = src.trajectory(10.0)
+    traj = src.positions(GRID_10MS)
     uniq = np.unique(traj, axis=0)
     assert uniq.shape[0] == 2
 

@@ -97,12 +97,17 @@ _FROM_TO_RE = re.compile(
     re.IGNORECASE,
 )
 
-_TRAILING_VERB_RE = re.compile(
+# a verb, speed adverb or preposition that ends an event phrase
+_TRAILING_RE = re.compile(
     r"\s+(?:moves?|moving|moved|travels?|travelling|traveling|passes?|passing"
     r"|pans?|drifts?|drifting|glides?|gliding|goes|going|comes?|coming|is|are"
-    r"|sounds?|heard|noticed)\s*$",
+    r"|sounds?|heard|noticed|slowly|gently|moderately|quickly|rapidly|swiftly|fast"
+    r"|instantly|suddenly)\s*$|(?:^|\s+)(?:at|on|in|to|toward|towards|from)(?:\s+the)?\s*$",
     re.IGNORECASE,
 )
+
+_DIST_TAIL_RE = re.compile(
+    r",\s*(?:" + "|".join(re.escape(word) for word, _ in _DISTANCE_WORDS) + ")", re.IGNORECASE)
 
 _INSTANT_SPLIT_RE = re.compile(r",?\s+then\s+another\s+", re.IGNORECASE)
 
@@ -123,7 +128,6 @@ def _resolve_direction_phrase(phrase: str):
     """(label, degrees, distance_label) from a direction sub-phrase."""
     angle = _ANGLE_RE.search(phrase)
     degrees = None
-    label = None
     if angle:
         val = float(angle.group(1))
         anchor = (angle.group(2) or "").lower()
@@ -133,10 +137,8 @@ def _resolve_direction_phrase(phrase: str):
             degrees = max(90.0 - val, 0.0)
         elif 0.0 <= val <= 180.0:
             degrees = val
-    if degrees is None:
-        label = _find_word(phrase, _DIRECTION_WORDS)
-    distance = _find_word(phrase, _DISTANCE_WORDS)
-    return label, degrees, distance
+    label = _find_word(phrase, _DIRECTION_WORDS) if degrees is None else None
+    return label, degrees, _find_word(phrase, _DISTANCE_WORDS)
 
 
 def _extract_scene_size(text: str):
@@ -171,22 +173,34 @@ def _split_clauses(text: str) -> list[str]:
     return parts
 
 
-def _event_from_clause(clause: str, cut: int | None, cut_end: int | None = None) -> str:
-    event = (clause if cut is None else clause[:cut]).strip(" ,.;")
-    while True:
-        stripped = _TRAILING_VERB_RE.sub("", event)
-        stripped = re.sub(r"\s+(?:slowly|gently|moderately|quickly|rapidly|swiftly|fast"
-                          r"|instantly|suddenly)\s*$", "", stripped, flags=re.IGNORECASE)
-        stripped = re.sub(r"(?:^|\s+)(?:at|on|in|to|toward|towards|from)(?:\s+the)?\s*$",
-                          "", stripped, flags=re.IGNORECASE)
-        if stripped == event:
-            break
-        event = stripped.strip(" ,.;")
-    event = event.strip(" ,.;")
-    if not event and cut_end is not None:
-        # direction-led clause ("On the left, a dog barks"): take the remainder
-        event = clause[cut_end:].strip(" ,.;")
-    return event
+def _strip_trailing(text: str) -> str:
+    """``text`` without the verbs, speed adverbs and prepositions that end it."""
+    while (stripped := _TRAILING_RE.sub("", text.rstrip(" ,.;"))) != text:
+        text = stripped
+    return text
+
+
+def _spatial_cut(phrase: str) -> tuple[int, int] | None:
+    """Span of the cue that ends ``phrase``'s event: its first direction or
+    angle mention, else a distance-only tail (", far away"); None if neither."""
+    cues = [m for m in (_DIR_CONTEXT_RE.search(phrase), _ANGLE_RE.search(phrase)) if m]
+    m = min(cues, key=lambda c: c.start()) if cues else _DIST_TAIL_RE.search(phrase)
+    return m.span() if m else None
+
+
+def _split_event(clause: str, cut: tuple[int, int] | None) -> tuple[str, str]:
+    """(event, spatial phrase) of ``clause`` cut where ``cut`` starts; the words
+    that end the event (verbs, adverbs) go with the phrase, a direction-led
+    clause ("On the left, a dog barks") takes its event from after the cut,
+    and without a cut the clause is all event."""
+    if cut is None:
+        return clause.strip(" ,.;"), ""
+    head = _strip_trailing(clause[:cut[0]])
+    if event := head.strip(" ,.;"):
+        return event, clause[len(head):]
+    rest = clause[cut[1]:]
+    event = _strip_trailing(rest)
+    return event.strip(" ,.;"), clause[:cut[1]] + rest[len(event):]
 
 
 def _parse_clause(clause: str) -> SourceAttributes:
@@ -196,11 +210,10 @@ def _parse_clause(clause: str) -> SourceAttributes:
     instant_parts = _INSTANT_SPLIT_RE.split(clause, maxsplit=1)
     if len(instant_parts) == 2:
         head, tail = instant_parts
-        h_label, h_deg, h_dist = _resolve_direction_phrase(head)
-        t_label, t_deg, t_dist = _resolve_direction_phrase(tail)
-        cut_m = _DIR_CONTEXT_RE.search(head) or _ANGLE_RE.search(head)
-        event = _event_from_clause(head, cut_m.start() if cut_m else None,
-                                   cut_m.end() if cut_m else None)
+        event, spatial = _split_event(head, _spatial_cut(head))
+        h_label, h_deg, h_dist = _resolve_direction_phrase(spatial)
+        t_label, t_deg, t_dist = _resolve_direction_phrase(
+            _split_event(tail, _spatial_cut(tail))[1])
         if h_label is None and h_deg is None:
             flags.append("direction_unspecified")
         return SourceAttributes(
@@ -215,19 +228,15 @@ def _parse_clause(clause: str) -> SourceAttributes:
         s_label, s_deg, s_dist = _resolve_direction_phrase(move.group("src"))
         d_label, d_deg, d_dist = _resolve_direction_phrase(move.group("dst"))
         if (s_label is not None or s_deg is not None) and (d_label is not None or d_deg is not None):
-            speed = _find_word(clause, _SPEED_WORDS)
-            if speed == "instant":
-                movement, speed = "instant", "instant"
-            else:
-                movement = "moving"
-                if speed is None:
-                    speed = "moderate"
-                    flags.append("speed_defaulted")
-            cut = move.start()
-            ctx = _DIR_CONTEXT_RE.search(clause)
-            if ctx and ctx.start() < cut:
-                cut = ctx.start()
-            event = _event_from_clause(clause, cut, move.end())
+            # a direction phrase before "from ... to" also ends the event
+            cue = _spatial_cut(clause)
+            start = min(move.start(), cue[0]) if cue else move.start()
+            event, spatial = _split_event(clause, (start, move.end()))
+            speed = _find_word(spatial, _SPEED_WORDS)
+            movement = "instant" if speed == "instant" else "moving"
+            if speed is None:
+                speed = "moderate"
+                flags.append("speed_defaulted")
             return SourceAttributes(
                 event=event, direction_label=s_label, direction_degrees=s_deg,
                 distance_label=s_dist, movement=movement, speed_label=speed,
@@ -236,17 +245,8 @@ def _parse_clause(clause: str) -> SourceAttributes:
             )
 
     # still source
-    label, degrees, distance = _resolve_direction_phrase(clause)
-    cut_m = _DIR_CONTEXT_RE.search(clause) or _ANGLE_RE.search(clause)
-    # distance-only tails ("..., far away") should not leak into the event
-    if cut_m is None:
-        for word, _ in _DISTANCE_WORDS:
-            m = re.search(r",\s*" + re.escape(word), clause, re.IGNORECASE)
-            if m:
-                cut_m = m
-                break
-    event = _event_from_clause(clause, cut_m.start() if cut_m else None,
-                               cut_m.end() if cut_m else None)
+    event, spatial = _split_event(clause, _spatial_cut(clause))
+    label, degrees, distance = _resolve_direction_phrase(spatial)
     if label is None and degrees is None:
         flags.append("direction_unspecified")
     return SourceAttributes(

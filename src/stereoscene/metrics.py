@@ -82,19 +82,11 @@ def gcc_phat_correlation(frame_left, frame_right, fs: int):
     if not np.all(np.any(a, axis=-1) & np.any(b, axis=-1)):
         raise MetricError("frame with an all-zero channel (gate silence upstream)")
     nfft = 2 * a.shape[-1]
-    fa = np.fft.rfft(a, n=nfft)
-    fb = np.fft.rfft(b, n=nfft)
-    ar, ai, br, bi = fa.real, fa.imag, fb.real, fb.imag
-    re = ar * br + ai * bi
-    im = ai * br - ar * bi
-    mag = np.maximum(np.hypot(re, im), PHAT_EPS)
-    re /= mag
-    im /= mag
+    cross = np.fft.rfft(a, n=nfft) * np.fft.rfft(b, n=nfft).conj()
+    cross /= np.maximum(np.abs(cross), PHAT_EPS)
     pre, kernel, post = _lag_chirp(nfft, max_shift)
     buf = np.zeros(a.shape[:-1] + kernel.shape, dtype=complex)
-    head = buf[..., :pre.size]
-    head.real, head.imag = re, im
-    head *= pre
+    np.multiply(cross, pre, out=buf[..., :pre.size])
     np.fft.fft(buf, out=buf)
     buf *= kernel
     np.fft.ifft(buf, out=buf)

@@ -78,6 +78,8 @@ def test_explicit_angle_parsing():
     assert rec.sources[0].direction_degrees == 105.0  # 90 + 15 toward the left
     rec = parse_caption("A dog barks at 150 degrees.")
     assert rec.sources[0].direction_degrees == 150.0
+    src = parse_caption("A dog barks 30 degrees to the right.").sources[0]
+    assert (src.event, src.direction_degrees, src.direction_label) == ("A dog barks", 60.0, None)
 
 
 def test_direction_led_clauses():
@@ -93,6 +95,13 @@ def test_unspecified_direction_flagged():
     rec = parse_caption("A dog barks.")
     assert rec.sources[0].direction_label is None
     assert "direction_unspecified" in rec.sources[0].flags
+    src = parse_caption("A bell rings, far away.").sources[0]
+    assert (src.event, src.distance_label, src.direction_label) == ("A bell rings", "far", None)
+    assert src.flags == ("direction_unspecified",)
+    src = parse_caption("A knock, then another knock at the left.").sources[0]
+    assert (src.event, src.movement, src.direction_label) == ("A knock", "instant", None)
+    assert src.end_direction_label == "left"
+    assert src.flags == ("direction_unspecified",)
 
 
 def test_moving_without_adverb_defaults_moderate():
@@ -100,6 +109,18 @@ def test_moving_without_adverb_defaults_moderate():
     src = rec.sources[0]
     assert src.speed_label == "moderate"
     assert "speed_defaulted" in src.flags
+
+
+def test_from_to_instantly_is_instant():
+    src = parse_caption("A bird flies from left to right instantly.").sources[0]
+    assert (src.movement, src.speed_label) == ("instant", "instant")
+    assert (src.direction_label, src.end_direction_label) == ("left", "right")
+
+
+def test_direction_phrase_before_from_to_ends_the_event():
+    src = parse_caption("A car on the left moves from front left to right slowly.").sources[0]
+    assert (src.event, src.movement, src.speed_label) == ("A car", "moving", "slow")
+    assert (src.direction_label, src.end_direction_label) == ("front_left", "right")
 
 
 def test_scene_size_keywords():
@@ -213,13 +234,12 @@ def _labels(rec):
     return out
 
 
-def test_roundtrip_preserves_labels_1000_records():
+def _random_records(seed: int, events: list[str], n: int):
+    """``n`` seeded random records of one to four sources drawing on ``events``."""
     import random
 
-    random.seed(99)
-    events = ["a dog barking", "guitar strumming", "a trumpet sound", "rain falling",
-              "an engine humming", "a woman singing", "church bells", "a cat meowing"]
-    for _ in range(1000):
+    random.seed(seed)
+    for _ in range(n):
         sources = []
         for _ in range(random.choice([1, 1, 2, 2, 3, 4])):
             movement = random.choice(["still", "moving", "instant"])
@@ -239,8 +259,50 @@ def test_roundtrip_preserves_labels_1000_records():
                 kw["speed_label"] = ("instant" if movement == "instant"
                                      else random.choice(["slow", "moderate", "fast"]))
             sources.append(SourceAttributes(**kw))
-        rec = AttributeRecord(
+        yield AttributeRecord(
             scene_size_label=random.choice([None, *SIZE_LABELS]),
             sources=tuple(sources))
+
+
+def test_roundtrip_preserves_labels_1000_records():
+    events = ["a dog barking", "guitar strumming", "a trumpet sound", "rain falling",
+              "an engine humming", "a woman singing", "church bells", "a cat meowing"]
+    for rec in _random_records(99, events, 1000):
         back = parse_caption(generate_caption(rec))
         assert _labels(back) == _labels(rec)
+
+
+# events that hold direction, distance and speed words of the lexicon
+LEXICON_EVENTS = ["distant thunder", "car passing left", "front door", "gently rocking boat",
+                  "left hand clap", "a fast train", "a slowly ticking clock", "nearby traffic",
+                  "a far off horn", "right whale song", "a close call", "center stage applause",
+                  "a suddenly slammed door", "music in the distance"]
+
+
+@pytest.mark.parametrize("rec", [
+    AttributeRecord(scene_size_label="outdoors", sources=(SourceAttributes(
+        event="distant thunder", direction_label="right", distance_label="near"),)),
+    AttributeRecord(scene_size_label="outdoors", sources=(SourceAttributes(
+        event="car passing left", direction_label="right"),)),
+    AttributeRecord(scene_size_label="outdoors", sources=(SourceAttributes(
+        event="front door", direction_label="right"),)),
+    AttributeRecord(scene_size_label="outdoors", sources=(SourceAttributes(
+        event="gently rocking boat", direction_label="left", movement="moving",
+        speed_label="fast", end_direction_label="right"),)),
+    AttributeRecord(scene_size_label="outdoors", sources=(SourceAttributes(
+        event="left hand clap", direction_label="front", movement="instant",
+        speed_label="instant", end_direction_label="right"),)),
+], ids=["still-distance", "still-direction", "still-front", "moving-speed", "instant-end"])
+def test_event_words_do_not_become_labels(rec):
+    text = generate_caption(rec)
+    back = parse_caption(text)
+    assert _labels(back) == _labels(rec), text
+    assert back.sources[0].event.lower() == rec.sources[0].event
+
+
+def test_roundtrip_with_lexicon_words_in_events():
+    for rec in _random_records(7, LEXICON_EVENTS, 500):
+        text = generate_caption(rec)
+        back = parse_caption(text)
+        assert _labels(back) == _labels(rec), text
+        assert [s.event.lower() for s in back.sources] == [s.event for s in rec.sources], text

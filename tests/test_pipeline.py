@@ -78,6 +78,16 @@ def test_manifest_roundtrip(tmp_path, clip_dir):
     assert entries[4].audio_paths[1].endswith("burst.wav")
 
 
+def test_manifest_skips_blank_and_comment_lines(tmp_path, clip_dir):
+    first, second = (json.dumps(e) for e in _entries(clip_dir)[:2])
+    path = tmp_path / "m.jsonl"
+    path.write_text(f"# two entries\n\n{first}\n   \n  # {second}\n{second}\n[1]\n")
+    with pytest.raises(ManifestError, match=rf"{path}:7: "):
+        read_manifest(path)
+    path.write_text(path.read_text().replace("[1]\n", ""))
+    assert [e.clip_id for e in read_manifest(path)] == ["ss-a", "ss-b"]
+
+
 def test_manifest_duplicate_ids_rejected(tmp_path, clip_dir):
     path = tmp_path / "m.jsonl"
     e = _entries(clip_dir)[0]
@@ -294,6 +304,63 @@ def test_non_finite_source_audio_fails_entry(tmp_path, clip_dir):
     assert [f["id"] for f in index.failures] == ["ds-nan"]
     assert "non-finite" in index.failures[0]["error"]
     assert not list(out.glob("ds-nan*"))
+
+
+def test_subset_filter_synthesizes_only_that_subset(tmp_path, clip_dir):
+    manifest_path = tmp_path / "m.jsonl"
+    _write_manifest(manifest_path, _entries(clip_dir)[:3])
+    out = tmp_path / "out"
+    index = synthesize(read_manifest(manifest_path), out, global_seed=3, duration=2.0,
+                       subset_filter="SD")
+    assert [r["id"] for r in index.rows] == ["sd-a"] and not index.failures
+    assert sorted(p.name for p in out.glob("*.wav")) == ["sd-a.wav"]
+
+
+def test_event_named_after_the_audio_file_without_one(tmp_path, clip_dir):
+    source = tmp_path / "rain_on-tin.wav"
+    source.write_bytes((clip_dir / "noise.wav").read_bytes())
+    entry = {"id": "stem", "subset": "SS", "audio": str(source), "attributes": {
+        "scene_size": "outdoors",
+        "sources": [{"direction_label": "left", "movement": "still"}]}}
+    manifest_path = tmp_path / "m.jsonl"
+    _write_manifest(manifest_path, [entry])
+    out = tmp_path / "out"
+    index = synthesize(read_manifest(manifest_path), out, global_seed=3, duration=2.0)
+    assert index.rows[0]["caption"].startswith("Rain on tin on the left side of the scene")
+    report = validate(out)
+    assert report.ok, report.violations
+
+
+def test_lexicon_words_in_events_validate_clean(tmp_path, clip_dir):
+    # the parser used to read labels out of these events: "distant" as far,
+    # "gently" as slow and the repeated "left hand clap" as the end direction
+    noise = str(clip_dir / "noise.wav")
+
+    def attrs(**source):
+        return {"scene_size": "outdoors", "sources": [source]}
+
+    entries = [
+        {"id": "thunder", "subset": "SS", "audio": noise, "attributes": attrs(
+            event="distant thunder", direction_label="right", distance_label="near",
+            movement="still")},
+        {"id": "boat", "subset": "SD", "audio": noise, "attributes": attrs(
+            event="gently rocking boat", direction_label="left", movement="moving",
+            speed_label="fast", end_direction_label="right")},
+        {"id": "clap", "subset": "SD", "audio": noise, "attributes": attrs(
+            event="left hand clap", direction_label="front", movement="instant",
+            speed_label="instant", end_direction_label="right")},
+        {"id": "caption", "subset": "SS", "audio": noise,
+         "caption": "Distant thunder on the right, close by, outdoors."},
+    ]
+    manifest_path = tmp_path / "m.jsonl"
+    _write_manifest(manifest_path, entries)
+    out = tmp_path / "out"
+    index = synthesize(read_manifest(manifest_path), out, global_seed=3, duration=2.0)
+    assert not index.failures
+    report = validate(out)
+    assert report.ok, report.violations
+    meta = json.loads((out / "caption.json").read_text())
+    assert meta["attributes"]["sources"][0]["distance_label"] == "near"
 
 
 def test_reruns_byte_identical_across_worker_counts(tmp_path, clip_dir):
@@ -537,6 +604,30 @@ def test_evaluate_unpaired_reported(synthesized, tmp_path):
         shutil.copy(out / row["wav"], partial / row["wav"])
     report = evaluate(out, partial)
     assert set(report.skipped) == {r["id"] for r in index.rows[3:]}
+
+
+def test_evaluate_without_wav_files_raises(tmp_path):
+    with pytest.raises(ManifestError, match="no WAV files"):
+        evaluate(tmp_path, tmp_path)
+
+
+def test_evaluate_without_a_common_finite_clip_raises(synthesized, tmp_path):
+    out, index = synthesized
+    gen, ref = tmp_path / "gen", tmp_path / "ref"
+    gen.mkdir()
+    ref.mkdir()
+    first, second = index.rows[:2]
+    (gen / "a.wav").write_bytes((out / first["wav"]).read_bytes())
+    (ref / "b.wav").write_bytes((out / second["wav"]).read_bytes())
+    with pytest.raises(ManifestError, match="no clip ids with finite audio in common"):
+        evaluate(gen, ref)
+    # the one id they share has a non-finite generated clip
+    (ref / "a.wav").write_bytes((out / first["wav"]).read_bytes())
+    data = read_wav(gen / "a.wav").data.copy()
+    data[100, 0] = np.inf
+    write_wav(gen / "a.wav", AudioBuffer(data, 16000))
+    with pytest.raises(ManifestError, match="no clip ids with finite audio in common"):
+        evaluate(gen, ref)
 
 
 def test_evaluate_skips_missing_reference_wav(synthesized, tmp_path):

@@ -7,6 +7,7 @@ AttributeRecord or a CaptionParseError.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 
 from .scene import AttributeRecord, SourceAttributes
 
@@ -18,56 +19,29 @@ class CaptionParseError(ValueError):
 # ---------------------------------------------------------------------------
 # Lexicon
 # ---------------------------------------------------------------------------
-# longest match first
-_DIRECTION_WORDS = [
-    ("front left", "front_left"),
-    ("front-left", "front_left"),
-    ("front right", "front_right"),
-    ("front-right", "front_right"),
-    ("directly in front", "front"),
-    ("directly front", "front"),
-    ("straight ahead", "front"),
-    ("in front", "front"),
-    ("ahead", "front"),
-    ("center", "front"),
-    ("centre", "front"),
-    ("front", "front"),
-    ("left", "left"),
-    ("right", "right"),
-]
+# label -> phrases, scanned in this order (longest match first); each label's
+# first phrase is the one generate_caption writes
+_DIRECTION_WORDS = {
+    "front_left": ("front left", "front-left"),
+    "front_right": ("front right", "front-right"),
+    "front": ("directly in front", "directly front", "straight ahead", "in front", "ahead",
+              "center", "centre", "front"),
+    "left": ("left",),
+    "right": ("right",),
+}
 
-_DISTANCE_WORDS = [
-    ("far away", "far"),
-    ("in the distance", "far"),
-    ("distant", "far"),
-    ("faraway", "far"),
-    ("far", "far"),
-    ("close by", "near"),
-    ("up close", "near"),
-    ("nearby", "near"),
-    ("close", "near"),
-    ("near", "near"),
-    ("at a moderate distance", "moderate"),
-    ("midway", "moderate"),
-]
+_DISTANCE_WORDS = {
+    "far": ("far away", "in the distance", "distant", "faraway", "far"),
+    "near": ("close by", "up close", "nearby", "close", "near"),
+    "moderate": ("at a moderate distance", "midway"),
+}
 
-_SPEED_WORDS = [
-    ("at a slow speed", "slow"),
-    ("at a slow pace", "slow"),
-    ("slowly", "slow"),
-    ("gently", "slow"),
-    ("at a moderate speed", "moderate"),
-    ("at a moderate pace", "moderate"),
-    ("moderately", "moderate"),
-    ("at a fast speed", "fast"),
-    ("at a fast pace", "fast"),
-    ("quickly", "fast"),
-    ("rapidly", "fast"),
-    ("swiftly", "fast"),
-    ("fast", "fast"),
-    ("instantly", "instant"),
-    ("suddenly", "instant"),
-]
+_SPEED_WORDS = {
+    "slow": ("slowly", "at a slow speed", "at a slow pace", "gently"),
+    "moderate": ("at a moderate speed", "at a moderate pace", "moderately"),
+    "fast": ("quickly", "at a fast speed", "at a fast pace", "rapidly", "swiftly", "fast"),
+    "instant": ("instantly", "suddenly"),
+}
 
 _SIZE_PATTERNS = [
     (r"\boutdoors?\b|\boutside\b|\bopen air\b|\bin the open\b", "outdoors"),
@@ -82,18 +56,33 @@ _ANGLE_RE = re.compile(
     re.IGNORECASE,
 )
 
+
+def _phrases(table) -> list[str]:
+    return [phrase for phrases in table.values() for phrase in phrases]
+
+
+def _alternation(phrases) -> str:
+    return "|".join(map(re.escape, phrases))
+
+
+_DIRECTION_PHRASES = _phrases(_DIRECTION_WORDS)
+# a multi-word phrase whose first word names no direction ("straight ahead") is
+# a cue on its own; any other phrase needs a preposition ("on the left")
+_BARE_CUES = [p for p in _DIRECTION_PHRASES
+              if " " in p and p.split()[0] not in _DIRECTION_PHRASES]
+_ADVERBS = _alternation(p for p in _phrases(_SPEED_WORDS) if " " not in p)
+
 # direction mention with its introducing preposition, for event-boundary cuts
 _DIR_CONTEXT_RE = re.compile(
-    r"\b(?:on|at|to|toward|towards|from|in)\s+(?:the\s+)?"
-    r"(?:front[- ]left|front[- ]right|front|left|right|centre|center)\b"
-    r"|\bdirectly in front\b|\bstraight ahead\b|\bin front\b",
+    r"(?<![\w-])(?:(?:on|at|to|toward|towards|from|in)\s+(?:the\s+)?(?:"
+    + _alternation(p for p in _DIRECTION_PHRASES if p not in _BARE_CUES)
+    + ")|" + _alternation(_BARE_CUES) + r")(?![\w-])",
     re.IGNORECASE,
 )
 
 _FROM_TO_RE = re.compile(
     r"\bfrom\s+(?:the\s+)?(?P<src>.+?)\s+to\s+(?:the\s+)?(?P<dst>.+?)(?=\s+at\s+a\b"
-    r"|\s+slowly\b|\s+moderately\b|\s+quickly\b|\s+gently\b|\s+fast\b|\s+rapidly\b"
-    r"|\s+swiftly\b|[,.;]|$)",
+    r"|\s+(?:" + _ADVERBS + r")\b|[,.;]|$)",
     re.IGNORECASE,
 )
 
@@ -101,13 +90,13 @@ _FROM_TO_RE = re.compile(
 _TRAILING_RE = re.compile(
     r"\s+(?:moves?|moving|moved|travels?|travelling|traveling|passes?|passing"
     r"|pans?|drifts?|drifting|glides?|gliding|goes|going|comes?|coming|is|are"
-    r"|sounds?|heard|noticed|slowly|gently|moderately|quickly|rapidly|swiftly|fast"
-    r"|instantly|suddenly)\s*$|(?:^|\s+)(?:at|on|in|to|toward|towards|from)(?:\s+the)?\s*$",
+    r"|sounds?|heard|noticed|" + _ADVERBS
+    + r")\s*$|(?:^|\s+)(?:at|on|in|to|toward|towards|from)(?:\s+the)?\s*$",
     re.IGNORECASE,
 )
 
-_DIST_TAIL_RE = re.compile(
-    r",\s*(?:" + "|".join(re.escape(word) for word, _ in _DISTANCE_WORDS) + ")", re.IGNORECASE)
+_DIST_TAIL_RE = re.compile(r",\s*(?:" + _alternation(_phrases(_DISTANCE_WORDS)) + ")",
+                           re.IGNORECASE)
 
 _INSTANT_SPLIT_RE = re.compile(r",?\s+then\s+another\s+", re.IGNORECASE)
 
@@ -118,8 +107,8 @@ _AND_SPLIT_RE = re.compile(r",?\s+and\s+", re.IGNORECASE)
 
 def _find_word(phrase: str, table) -> str | None:
     low = phrase.lower()
-    for word, label in table:
-        if re.search(r"(?<![\w-])" + re.escape(word) + r"(?![\w-])", low):
+    for label, words in table.items():
+        if re.search(r"(?<![\w-])(?:" + _alternation(words) + r")(?![\w-])", low):
             return label
     return None
 
@@ -277,22 +266,6 @@ def parse_caption(text: str) -> AttributeRecord:
 # ---------------------------------------------------------------------------
 # Generation
 # ---------------------------------------------------------------------------
-_DIR_PHRASE = {
-    "left": "on the left",
-    "front_left": "on the front left",
-    "front": "directly in front",
-    "front_right": "on the front right",
-    "right": "on the right",
-}
-_DIR_BARE = {
-    "left": "left",
-    "front_left": "front left",
-    "front": "directly in front",
-    "front_right": "front right",
-    "right": "right",
-}
-_DIST_PHRASE = {"far": "far away", "near": "close by", "moderate": "at a moderate distance"}
-_SPEED_PHRASE = {"slow": "slowly", "moderate": "at a moderate speed", "fast": "quickly"}
 _SIZE_PHRASE = {
     "outdoors": "outdoors",
     "large": "in a large space",
@@ -302,10 +275,16 @@ _SIZE_PHRASE = {
 _ARTICLE_RE = re.compile(r"^(?:a|an|the)\s+", re.IGNORECASE)
 
 
+def _degrees_text(degrees: float) -> str:
+    """``degrees`` as a caption writes it: six significant digits, no exponent."""
+    return format(Decimal(f"{degrees:g}"), "f")
+
+
 def _endpoint_text(label, degrees, distance) -> str:
-    base = f"{degrees:g} degrees" if degrees is not None else _DIR_BARE[label]
+    base = (f"{_degrees_text(degrees)} degrees" if degrees is not None
+            else _DIRECTION_WORDS[label][0])
     if distance:
-        return f"{base} ({_DIST_PHRASE[distance]})"
+        return f"{base} ({_DISTANCE_WORDS[distance][0]})"
     return base
 
 
@@ -326,13 +305,14 @@ def generate_caption(record: AttributeRecord, event_phrases: list[str] | None = 
     for attrs, event in zip(record.sources, events):
         if attrs.movement == "still":
             if attrs.direction_degrees is not None:
-                phrase = f"{event} at {attrs.direction_degrees:g} degrees"
+                phrase = f"{event} at {_degrees_text(attrs.direction_degrees)} degrees"
             elif single and attrs.direction_label in ("left", "right"):
                 phrase = f"{event} on the {attrs.direction_label} side of the scene"
             else:
-                phrase = f"{event} {_DIR_PHRASE[attrs.direction_label]}"
+                words = _DIRECTION_WORDS[attrs.direction_label][0]
+                phrase = f"{event} {words if words in _BARE_CUES else 'on the ' + words}"
             if attrs.distance_label:
-                phrase += f", {_DIST_PHRASE[attrs.distance_label]}"
+                phrase += f", {_DISTANCE_WORDS[attrs.distance_label][0]}"
         elif attrs.movement == "instant":
             start = _endpoint_text(attrs.direction_label, attrs.direction_degrees,
                                    attrs.distance_label)
@@ -345,7 +325,7 @@ def generate_caption(record: AttributeRecord, event_phrases: list[str] | None = 
                                    attrs.distance_label)
             end = _endpoint_text(attrs.end_direction_label, attrs.end_direction_degrees,
                                  attrs.end_distance_label)
-            phrase = f"{event} moves from {start} to {end} {_SPEED_PHRASE[attrs.speed_label]}"
+            phrase = f"{event} moves from {start} to {end} {_SPEED_WORDS[attrs.speed_label][0]}"
         parts.append(phrase)
 
     connectors = [", while ", ", as ", " and "]
@@ -356,3 +336,16 @@ def generate_caption(record: AttributeRecord, event_phrases: list[str] | None = 
         text += f", {_SIZE_PHRASE[record.scene_size_label]}"
     text = text[0].upper() + text[1:] + "."
     return text
+
+
+def caption_labels(record: AttributeRecord) -> tuple:
+    """The labels a caption of ``record`` carries: the scene size and, per source,
+    its direction, distance, movement, speed and end point, with angles written
+    as generate_caption writes them."""
+    def angle(degrees):
+        return None if degrees is None else _degrees_text(degrees)
+
+    return record.scene_size_label, tuple(
+        (s.direction_label, angle(s.direction_degrees), s.distance_label, s.movement,
+         s.speed_label, s.end_direction_label, angle(s.end_direction_degrees),
+         s.end_distance_label) for s in record.sources)

@@ -54,10 +54,6 @@ class AzimuthStateMatrix:
     kind: str  # "coarse" | "fine"
     sigma: float | None = None
 
-    @property
-    def n_sources(self) -> int:
-        return self.data.shape[0]
-
     def save(self, path) -> None:
         """Row-major float32 binary plus a JSON sidecar describing the layout."""
         path = Path(path)

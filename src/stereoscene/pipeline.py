@@ -417,7 +417,7 @@ def _validate_row(dataset_dir: Path, row: dict, report: ValidationReport) -> Non
     try:
         parsed = cap.parse_caption(row["caption"])
         stored = AttributeRecord.from_dict(meta["attributes"])
-        if not _labels_match(parsed, stored):
+        if cap.caption_labels(parsed) != cap.caption_labels(stored):
             report.add(clip_id, "caption_roundtrip", "parsed labels differ from metadata")
     except cap.CaptionParseError as exc:
         report.add(clip_id, "caption_parse", str(exc))
@@ -436,24 +436,6 @@ def _validate_row(dataset_dir: Path, row: dict, report: ValidationReport) -> Non
             if err_ms > tol:
                 report.add(clip_id, "tdoa_geometry",
                            f"median TDOA off geometry by {err_ms:.3f} ms")
-
-
-def _labels_match(a: AttributeRecord, b: AttributeRecord) -> bool:
-    if a.scene_size_label != b.scene_size_label or len(a.sources) != len(b.sources):
-        return False
-    for sa, sb in zip(a.sources, b.sources):
-        if (sa.direction_label, sa.distance_label, sa.movement, sa.speed_label,
-                sa.end_direction_label, sa.end_distance_label) != (
-                sb.direction_label, sb.distance_label, sb.movement, sb.speed_label,
-                sb.end_direction_label, sb.end_distance_label):
-            return False
-        for da, db in ((sa.direction_degrees, sb.direction_degrees),
-                       (sa.end_direction_degrees, sb.end_direction_degrees)):
-            if (da is None) != (db is None):
-                return False
-            if da is not None and abs(da - db) > 0.51:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

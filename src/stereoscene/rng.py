@@ -55,9 +55,6 @@ class SeededRng:
         """One element of ``seq``, drawn as ``Generator.choice(seq)`` draws it."""
         return seq[int(self._gen.integers(0, len(seq)))]
 
-    def standard_normal(self, size=None):
-        return self._gen.standard_normal(size)
-
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, key={self._key.hex()[:8]})"
 

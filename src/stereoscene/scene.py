@@ -216,9 +216,6 @@ class SourceSpec:
         if self.movement == "instant" and self.instant_time is None:
             raise ValidationError("instant source requires instant_time")
 
-    def position_at(self, t: float) -> np.ndarray:
-        return self.positions([t])[0]
-
     def positions(self, times) -> np.ndarray:
         """Positions at each of ``times`` (seconds), shape (len(times), 3).
 

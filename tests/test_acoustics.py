@@ -114,7 +114,7 @@ def test_source_grazing_a_mic_renders():
         event="x", direction_label="left", distance_label="moderate", movement="moving",
         speed_label="slow", end_direction_label="right"),))
     scene = sample_scene(rec, SeededRng(93))
-    rir = stereo_rir_for(scene, scene.sources[0].position_at(4.55))
+    rir = stereo_rir_for(scene, scene.sources[0].positions([4.55])[0])
     assert np.all(np.isfinite(rir.samples))
     peak = np.abs(rir.samples).max()
     assert abs(peak - 1.0 / (4.0 * math.pi * MIN_SPREAD_DIST)) < 0.01 * peak

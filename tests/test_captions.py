@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stereoscene import captions
 from stereoscene.captions import CaptionParseError, generate_caption, parse_caption
 from stereoscene.rng import SeededRng
 from stereoscene.scene import (
@@ -112,15 +113,65 @@ def test_moving_without_adverb_defaults_moderate():
 
 
 def test_from_to_instantly_is_instant():
-    src = parse_caption("A bird flies from left to right instantly.").sources[0]
-    assert (src.movement, src.speed_label) == ("instant", "instant")
-    assert (src.direction_label, src.end_direction_label) == ("left", "right")
+    for text in ("A bird flies from left to right instantly.",
+                 "A car moves from left to right suddenly."):
+        src = parse_caption(text).sources[0]
+        assert (src.movement, src.speed_label) == ("instant", "instant"), text
+        assert (src.direction_label, src.end_direction_label) == ("left", "right"), text
 
 
 def test_direction_phrase_before_from_to_ends_the_event():
     src = parse_caption("A car on the left moves from front left to right slowly.").sources[0]
     assert (src.event, src.movement, src.speed_label) == ("A car", "moving", "slow")
     assert (src.direction_label, src.end_direction_label) == ("front_left", "right")
+
+
+# ---------------------------------------------------------------------------
+# the lexicon: every phrase is read, the first one is written
+# ---------------------------------------------------------------------------
+def test_every_direction_phrase_parses_to_its_label():
+    # a stand-alone cue ("straight ahead") is read bare, any other phrase
+    # after a preposition
+    for label, phrases in captions._DIRECTION_WORDS.items():
+        for phrase in phrases:
+            text = (f"A dog barks {phrase}." if phrase in captions._BARE_CUES
+                    else f"A dog barks on the {phrase}.")
+            src = parse_caption(text).sources[0]
+            assert (src.event, src.direction_label) == ("A dog barks", label), text
+
+
+def test_every_distance_and_speed_phrase_parses_to_its_label():
+    for label, phrases in captions._DISTANCE_WORDS.items():
+        for phrase in phrases:
+            text = f"A dog barks on the left, {phrase}."
+            src = parse_caption(text).sources[0]
+            assert (src.event, src.direction_label, src.distance_label) == (
+                "A dog barks", "left", label), text
+    for label, phrases in captions._SPEED_WORDS.items():
+        for phrase in phrases:
+            text = f"A car moves from left to right {phrase}."
+            src = parse_caption(text).sources[0]
+            assert (src.event, src.end_direction_label, src.speed_label) == (
+                "A car", "right", label), text
+
+
+def test_generator_writes_each_labels_first_phrase():
+    def caption(**kw):
+        return generate_caption(AttributeRecord(None, (SourceAttributes(event="a car", **kw),)))
+
+    for label, phrases in captions._DIRECTION_WORDS.items():
+        assert caption(direction_label=label, movement="moving", speed_label="slow",
+                       end_direction_label=label) == \
+            f"A car moves from {phrases[0]} to {phrases[0]} slowly."
+        if label not in ("left", "right"):  # a lone side source is "on the left side of ..."
+            assert caption(direction_label=label).endswith(f" {phrases[0]}.")
+    for label, phrases in captions._DISTANCE_WORDS.items():
+        assert caption(direction_label="front", distance_label=label) == \
+            f"A car directly in front, {phrases[0]}."
+    for label in ("slow", "moderate", "fast"):
+        assert caption(direction_label="left", movement="moving", speed_label=label,
+                       end_direction_label="right") == \
+            f"A car moves from left to right {captions._SPEED_WORDS[label][0]}."
 
 
 def test_scene_size_keywords():
@@ -270,6 +321,34 @@ def test_roundtrip_preserves_labels_1000_records():
     for rec in _random_records(99, events, 1000):
         back = parse_caption(generate_caption(rec))
         assert _labels(back) == _labels(rec)
+
+
+def test_tiny_angles_round_trip_without_an_exponent():
+    # "1e-05 degrees" used to parse as 5 degrees, and 2.5e-07 as 7
+    rec = AttributeRecord("outdoors", (SourceAttributes(
+        event="a car", direction_degrees=1e-05, movement="instant", speed_label="instant",
+        end_direction_degrees=2.5e-07),))
+    text = generate_caption(rec)
+    assert text == "A car at 0.00001 degrees, then another car at 0.00000025 degrees, outdoors."
+    back = parse_caption(text)
+    assert (back.sources[0].direction_degrees, back.sources[0].end_direction_degrees) == (
+        1e-05, 2.5e-07)
+    assert captions.caption_labels(back) == captions.caption_labels(rec)
+
+
+def test_angles_are_written_as_g_writes_plain_digits():
+    for degrees in (0.0, 1.0, 45.5, 90.0, 123.456789, 179.9999999, 0.0001, 0.00012345678):
+        assert captions._degrees_text(degrees) == f"{degrees:g}"
+
+
+def test_caption_labels_compare_angles_at_caption_precision():
+    def labels(degrees):
+        return captions.caption_labels(AttributeRecord(None, (SourceAttributes(
+            event="a dog", direction_degrees=degrees),)))
+
+    assert labels(123.4567891) == labels(123.457) == (
+        None, ((None, "123.457", None, "still", None, None, None, None),))
+    assert labels(123.4567891) != labels(123.458)
 
 
 # events that hold direction, distance and speed words of the lexicon

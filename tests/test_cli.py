@@ -11,7 +11,8 @@ import pytest
 from stereoscene.acoustics import stereo_rir_for
 from stereoscene.audio_io import AudioBuffer, read_wav, write_wav
 from stereoscene.captions import parse_caption
-from stereoscene.cli import main
+from stereoscene.cli import build_parser, main
+from stereoscene.pipeline import DatasetIndex
 from stereoscene.rng import SeededRng
 from stereoscene.scene import SceneSpec, sample_scene
 
@@ -206,6 +207,15 @@ def test_parse_captions_stdin_like_file(tmp_path, capsys):
     lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
     assert lines[0]["attributes"]["sources"][0]["direction_label"] == "left"
     assert lines[1]["attributes"]["sources"][0]["movement"] == "moving"
+
+
+def test_parse_captions_skips_blank_lines(tmp_path, capsys):
+    src = tmp_path / "captions.txt"
+    src.write_text("\nA dog barks on the left.\n   \n\nRain falls directly in front.\n\n")
+    assert main(["parse-captions", "--input", str(src)]) == 0
+    lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert [line["caption"] for line in lines] == [
+        "A dog barks on the left.", "Rain falls directly in front."]
 
 
 def test_parse_captions_reports_errors(tmp_path, capsys):
@@ -412,6 +422,36 @@ def test_evaluate_one_common_external_id_exits_two(dataset, tmp_path, capsys):
                  "--external-gen", str(tmp_path / "gen"),
                  "--external-ref", str(tmp_path / "ref")]) == 2
     assert "share 1 clip id" in capsys.readouterr().err
+
+
+def test_evaluate_prints_crw_mae_and_subset_rows(dataset, tmp_path, capsys):
+    # both clips tagged SS give an [SS] row; sidecars with mean_tdoa_ms give crw_mae
+    gen = tmp_path / "gen"
+    shutil.copytree(dataset, gen)
+    index = DatasetIndex.load(gen / "index.jsonl")
+    for row in index.rows:
+        row["subset"] = "SS"
+    index.save(gen / "index.jsonl")
+    for side, tdoa_ms in (("gen_emb", 0.1), ("ref_emb", 0.3)):
+        (tmp_path / side).mkdir()
+        for scale, name in enumerate(("a", "b"), start=1):
+            vec = np.array([1.0, 2.0, 3.0, 5.0], np.float32) * scale
+            (tmp_path / side / f"{name}.bin").write_bytes(vec.tobytes())
+            (tmp_path / side / f"{name}.bin.json").write_text(
+                json.dumps({"shape": [4], "mean_tdoa_ms": tdoa_ms}))
+    assert main(["evaluate", "--generated", str(gen), "--reference", str(dataset),
+                 "--external-gen", str(tmp_path / "gen_emb"),
+                 "--external-ref", str(tmp_path / "ref_emb")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"{'crw_mae':<10} {20.0:>10.3f}" in lines
+    assert [line.split(" gcc_mae=")[0] for line in lines if line.startswith("  [")] == [
+        "  [SS] n=2"]
+
+
+def test_positive_int_options_accept_a_positive_value():
+    args = build_parser().parse_args(["synthesize", "--manifest", "m.jsonl", "--out", "ds",
+                                      "--workers", "3", "--sample-rate", "22050"])
+    assert (args.workers, args.sample_rate) == (3, 22050)
 
 
 _EVALUATE_RUN = r"""

@@ -285,8 +285,7 @@ def _per_grain_reference(mono, scene, source, rir_for):
     windows[:-1, hop:] = 1.0 - ramp
     out = np.zeros((n, 2))
     cache = {}
-    for j in range(n_grains):
-        pos = source.position_at(j * MOVING_HOP_S)
+    for j, pos in enumerate(source.positions(np.arange(n_grains) * MOVING_HOP_S)):
         key = tuple(np.round(pos, 9))
         if key not in cache:
             cache[key] = rir_for(scene, pos)
@@ -329,7 +328,7 @@ def test_moving_render_matches_per_grain_reference(case, noise_clip, monkeypatch
     # one RIR per run of consecutive grains at the same position, built
     # singly or in a batch (jobs may finish in any order)
     n_grains = int(np.ceil(clip.n_samples / int(round(MOVING_HOP_S * 16000))))
-    keys = [tuple(np.round(src.position_at(j * MOVING_HOP_S), 9)) for j in range(n_grains)]
+    keys = [tuple(np.round(pos, 9)) for pos in src.positions(np.arange(n_grains) * MOVING_HOP_S)]
     runs = [k for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
     assert sorted(calls) == sorted(runs)
 

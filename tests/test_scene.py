@@ -214,9 +214,8 @@ def test_linear_midpoint_of_motion():
     src = SourceSpec(start_pos=(0.0, 0.0, 0.0), end_pos=(1.0, 0.0, 0.0),
                      angle=90.0, distance=1.0, movement="moving", end_angle=90.0,
                      end_distance=1.0, speed_ratio=0.2, move_start=1.0, move_interval=2.0)
-    np.testing.assert_allclose(src.position_at(2.0), [0.5, 0.0, 0.0])
-    np.testing.assert_allclose(src.position_at(0.5), [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(src.position_at(9.0), [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(src.positions([2.0, 0.5, 9.0]),
+                               [[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def _scalar_position(src, t):

@@ -40,6 +40,26 @@ def tree(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def angle_tree(tmp_path_factory):
+    """A 2 s tree of two outdoor SS clips whose attributes give tiny angles."""
+    d = tmp_path_factory.mktemp("validate-angles")
+    noise = d / "noise.wav"
+    write_wav(noise, AudioBuffer(np.random.default_rng(6).standard_normal(16000 * 3) * 0.3, 16000))
+    entries = [
+        {"id": f"deg{i}", "subset": "SS", "audio": str(noise),
+         "attributes": {"scene_size": "outdoors",
+                        "sources": [{"event": "a hum", "direction_degrees": degrees}]}}
+        for i, degrees in enumerate((1e-05, 2.5e-07))
+    ]
+    manifest = d / "m.jsonl"
+    manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    out = d / "tree"
+    index = synthesize(read_manifest(manifest), out, global_seed=3, duration=2.0)
+    assert not index.failures
+    return out
+
+
 def _violations(tree, tmp_path, plant) -> list[dict]:
     """The violations of a copy of ``tree`` that ``plant`` damaged."""
     broken = tmp_path / "broken"
@@ -66,6 +86,15 @@ def test_fresh_tree_validates_clean(tree):
     assert report.ok, report.violations
 
 
+def test_tiny_angle_tree_validates_clean(angle_tree):
+    # "1e-05 degrees" in a caption used to parse as 5 degrees
+    captions = [row["caption"] for row in DatasetIndex.load(angle_tree / "index.jsonl").rows]
+    assert [c.split(" degrees")[0] for c in captions] == ["A hum at 0.00001", "A hum at 0.00000025"]
+    report = validate(angle_tree)
+    assert report.checked == 2
+    assert report.ok, report.violations
+
+
 def test_missing_metadata_is_unreadable(tree, tmp_path):
     assert _kinds(_violations(tree, tmp_path, lambda root: (root / "out.json").unlink())) == [
         ("out", "unreadable")]
@@ -88,6 +117,27 @@ def test_caption_with_another_direction_flagged(tree, tmp_path):
         _set_caption(root, "out", "A dog barks on the right, outdoors.")
 
     assert _kinds(_violations(tree, tmp_path, plant)) == [("out", "caption_roundtrip")]
+
+
+@pytest.mark.parametrize("caption", [
+    "A dog barks on the left.",
+    "A dog barks on the left while a cat meows on the right, outdoors.",
+    "A dog barks at 170 degrees, outdoors.",
+], ids=["scene-size", "source-count", "angle-for-label"])
+def test_caption_with_other_labels_flagged(tree, tmp_path, caption):
+    def plant(root):
+        _set_caption(root, "out", caption)
+
+    assert _kinds(_violations(tree, tmp_path, plant)) == [("out", "caption_roundtrip")]
+
+
+def test_caption_with_another_angle_flagged(angle_tree, tmp_path):
+    # angles are compared as the caption writes them; 0.4 degrees used to
+    # pass for 1e-05 within a 0.51 degree tolerance
+    def plant(root):
+        _set_caption(root, "deg0", "A hum at 0.4 degrees, outdoors.")
+
+    assert _kinds(_violations(angle_tree, tmp_path, plant)) == [("deg0", "caption_roundtrip")]
 
 
 def test_caption_without_event_flagged(tree, tmp_path):

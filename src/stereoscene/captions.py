@@ -43,18 +43,16 @@ _SPEED_WORDS = {
     "instant": ("instantly", "suddenly"),
 }
 
-_SIZE_PATTERNS = [
-    (r"\boutdoors?\b|\boutside\b|\bopen air\b|\bin the open\b", "outdoors"),
-    (r"\blarge (?:space|room|hall|venue)\b|\bhuge (?:space|room|hall)\b|\bhall\b", "large"),
-    (r"\bmoderately sized (?:space|room)\b|\bmedium[- ]sized (?:space|room)\b", "moderate"),
-    (r"\bsmall (?:space|room)\b|\btiny (?:space|room)\b", "small"),
-]
-
-_ANGLE_RE = re.compile(
-    r"(\d+(?:\.\d+)?)\s*(?:degrees?|deg\b|°)"
-    r"(?:\s+(?:to|toward|towards)\s+the\s+(front left|front right|left|right))?",
-    re.IGNORECASE,
-)
+# a size phrase may also follow "in a", "in an" or "in the" ("in a large room")
+_SIZE_WORDS = {
+    "outdoors": ("outdoors", "outdoor", "outside", "open air", "in the open"),
+    "large": ("in a large space", "large space", "large room", "large hall", "large venue",
+              "huge space", "huge room", "huge hall", "hall"),
+    "moderate": ("in a moderately sized space", "moderately sized space", "moderately sized room",
+                 "medium-sized space", "medium-sized room", "medium sized space",
+                 "medium sized room"),
+    "small": ("in a small space", "small space", "small room", "tiny space", "tiny room"),
+}
 
 
 def _phrases(table) -> list[str]:
@@ -72,6 +70,14 @@ _BARE_CUES = [p for p in _DIRECTION_PHRASES
               if " " in p and p.split()[0] not in _DIRECTION_PHRASES]
 _ADVERBS = _alternation(p for p in _phrases(_SPEED_WORDS) if " " not in p)
 
+# "15 degrees to the front-left": the anchor's label gives the angle's side
+_ANGLE_RE = re.compile(
+    r"(\d+(?:\.\d+)?)\s*(?:degrees?|deg\b|°)(?:\s+(?:to|toward|towards)\s+the\s+("
+    + _alternation(p for label in _DIRECTION_WORDS if label != "front"
+                   for p in _DIRECTION_WORDS[label]) + "))?",
+    re.IGNORECASE,
+)
+
 # direction mention with its introducing preposition, for event-boundary cuts
 _DIR_CONTEXT_RE = re.compile(
     r"(?<![\w-])(?:(?:on|at|to|toward|towards|from|in)\s+(?:the\s+)?(?:"
@@ -80,9 +86,10 @@ _DIR_CONTEXT_RE = re.compile(
     re.IGNORECASE,
 )
 
+# a destination ends at a speed phrase or a clause mark, not at a decimal point
 _FROM_TO_RE = re.compile(
     r"\bfrom\s+(?:the\s+)?(?P<src>.+?)\s+to\s+(?:the\s+)?(?P<dst>.+?)(?=\s+at\s+a\b"
-    r"|\s+(?:" + _ADVERBS + r")\b|[,.;]|$)",
+    r"|\s+(?:" + _ADVERBS + r")\b|[,;]|\.(?!\d)|$)",
     re.IGNORECASE,
 )
 
@@ -90,13 +97,18 @@ _FROM_TO_RE = re.compile(
 _TRAILING_RE = re.compile(
     r"\s+(?:moves?|moving|moved|travels?|travelling|traveling|passes?|passing"
     r"|pans?|drifts?|drifting|glides?|gliding|goes|going|comes?|coming|is|are"
-    r"|sounds?|heard|noticed|" + _ADVERBS
+    r"|heard|noticed|" + _ADVERBS
     + r")\s*$|(?:^|\s+)(?:at|on|in|to|toward|towards|from)(?:\s+the)?\s*$",
     re.IGNORECASE,
 )
 
 _DIST_TAIL_RE = re.compile(r",\s*(?:" + _alternation(_phrases(_DISTANCE_WORDS)) + ")",
                            re.IGNORECASE)
+
+# the scene size is the phrase that ends the caption or leads it before a comma
+_SIZE = r"((?:in\s+(?:an?|the)\s+)?(?:" + _alternation(_phrases(_SIZE_WORDS)) + "))"
+_SIZE_TAIL_RE = re.compile(r"(?:^|[\s,;])\s*" + _SIZE + r"[\s,.;!]*$", re.IGNORECASE)
+_SIZE_HEAD_RE = re.compile(r"^\s*" + _SIZE + r"\s*,", re.IGNORECASE)
 
 _INSTANT_SPLIT_RE = re.compile(r",?\s+then\s+another\s+", re.IGNORECASE)
 
@@ -113,30 +125,26 @@ def _find_word(phrase: str, table) -> str | None:
     return None
 
 
-def _resolve_direction_phrase(phrase: str):
-    """(label, degrees, distance_label) from a direction sub-phrase."""
+def _endpoint(phrase: str):
+    """(label, degrees, distance_label) of one end of a source, read from the
+    spatial phrase that names it; an angle wins over a direction word."""
     angle = _ANGLE_RE.search(phrase)
     degrees = None
     if angle:
         val = float(angle.group(1))
-        anchor = (angle.group(2) or "").lower()
-        if anchor in ("left", "front left"):
-            degrees = min(90.0 + val, 180.0)
-        elif anchor in ("right", "front right"):
-            degrees = max(90.0 - val, 0.0)
+        side = angle.group(2) and _find_word(angle.group(2), _DIRECTION_WORDS)
+        if side:
+            degrees = min(90.0 + val, 180.0) if side.endswith("left") else max(90.0 - val, 0.0)
         elif 0.0 <= val <= 180.0:
             degrees = val
     label = _find_word(phrase, _DIRECTION_WORDS) if degrees is None else None
     return label, degrees, _find_word(phrase, _DISTANCE_WORDS)
 
 
-def _extract_scene_size(text: str):
-    for pattern, label in _SIZE_PATTERNS:
-        m = re.search(pattern, text, re.IGNORECASE)
-        if m:
-            cleaned = (text[: m.start()] + text[m.end():]).strip(" ,.")
-            cleaned = re.sub(r",?\s+in an?\s*[,.]?\s*$", "", cleaned)
-            return label, cleaned
+def _scene_size(text: str):
+    """(size label, ``text`` without its size phrase)."""
+    if m := _SIZE_TAIL_RE.search(text) or _SIZE_HEAD_RE.search(text):
+        return _find_word(m[1], _SIZE_WORDS), text[:m.start()] + text[m.end():]
     return None, text
 
 
@@ -147,17 +155,14 @@ def _has_direction_evidence(text: str) -> bool:
 def _split_clauses(text: str) -> list[str]:
     parts = []
     for chunk in _STRONG_SPLIT_RE.split(text):
-        chunk = chunk.strip(" ,.;")
-        if not chunk:
-            continue
         # split on "and" only when both halves carry their own direction
-        pieces = _AND_SPLIT_RE.split(chunk)
+        pieces = _AND_SPLIT_RE.split(chunk.strip(" ,.;"))
         merged = [pieces[0]]
         for piece in pieces[1:]:
             if _has_direction_evidence(merged[-1]) and _has_direction_evidence(piece):
                 merged.append(piece)
             else:
-                merged[-1] = merged[-1] + " and " + piece
+                merged[-1] += " and " + piece
         parts.extend(p.strip(" ,.;") for p in merged if p.strip(" ,.;"))
     return parts
 
@@ -169,78 +174,76 @@ def _strip_trailing(text: str) -> str:
     return text
 
 
-def _spatial_cut(phrase: str) -> tuple[int, int] | None:
-    """Span of the cue that ends ``phrase``'s event: its first direction or
-    angle mention, else a distance-only tail (", far away"); None if neither."""
-    cues = [m for m in (_DIR_CONTEXT_RE.search(phrase), _ANGLE_RE.search(phrase)) if m]
-    m = min(cues, key=lambda c: c.start()) if cues else _DIST_TAIL_RE.search(phrase)
-    return m.span() if m else None
+def _cues(phrase: str) -> list[tuple[int, int]]:
+    """Spans of ``phrase``'s direction and angle cues in order, an angle's
+    anchor ("to the left") being part of the angle; without either, the spans
+    of its distance tails (", far away")."""
+    angles = [m.span() for m in _ANGLE_RE.finditer(phrase)]
+    cues = angles + [m.span() for m in _DIR_CONTEXT_RE.finditer(phrase)
+                     if not any(a <= m.start() < b for a, b in angles)]
+    return sorted(cues) or [m.span() for m in _DIST_TAIL_RE.finditer(phrase)]
 
 
-def _split_event(clause: str, cut: tuple[int, int] | None) -> tuple[str, str]:
-    """(event, spatial phrase) of ``clause`` cut where ``cut`` starts; the words
-    that end the event (verbs, adverbs) go with the phrase, a direction-led
-    clause ("On the left, a dog barks") takes its event from after the cut,
-    and without a cut the clause is all event."""
-    if cut is None:
+def _split_event(clause: str, cues: list[tuple[int, int]]) -> tuple[str, str]:
+    """(event, spatial phrase) of ``clause``: the event ends where the last of
+    ``cues`` starts, and the words that end it (verbs, adverbs) go with the
+    phrase. A clause led by its first cue ("On the left, a dog barks") takes
+    its event from after that cue; without a cue the clause is all event."""
+    if not cues:
         return clause.strip(" ,.;"), ""
-    head = _strip_trailing(clause[:cut[0]])
-    if event := head.strip(" ,.;"):
-        return event, clause[len(head):]
-    rest = clause[cut[1]:]
-    event = _strip_trailing(rest)
-    return event.strip(" ,.;"), clause[:cut[1]] + rest[len(event):]
+    start, end = cues[0]
+    if not _strip_trailing(clause[:start]).strip(" ,.;"):
+        rest = clause[end:]
+        event = _strip_trailing(rest)
+        return event.strip(" ,.;"), clause[:end] + rest[len(event):]
+    head = _strip_trailing(clause[:cues[-1][0]])
+    return head.strip(" ,.;"), clause[len(head):]
+
+
+def _last_move(clause: str):
+    """The last "from ... to ..." of ``clause`` whose two endpoints resolve,
+    and those endpoints; None if there is none."""
+    for at in reversed([m.start() for m in re.finditer(r"\bfrom\s", clause, re.IGNORECASE)]):
+        if move := _FROM_TO_RE.match(clause, at):
+            src, dst = _endpoint(move["src"]), _endpoint(move["dst"])
+            if src[:2] != (None, None) and dst[:2] != (None, None):
+                return move, src, dst
+    return None
 
 
 def _parse_clause(clause: str) -> SourceAttributes:
     """One clause -> its SourceAttributes."""
     flags: list[str] = []
-
-    instant_parts = _INSTANT_SPLIT_RE.split(clause, maxsplit=1)
-    if len(instant_parts) == 2:
-        head, tail = instant_parts
-        event, spatial = _split_event(head, _spatial_cut(head))
-        h_label, h_deg, h_dist = _resolve_direction_phrase(spatial)
-        t_label, t_deg, t_dist = _resolve_direction_phrase(
-            _split_event(tail, _spatial_cut(tail))[1])
-        if h_label is None and h_deg is None:
-            flags.append("direction_unspecified")
-        return SourceAttributes(
-            event=event, direction_label=h_label, direction_degrees=h_deg,
-            distance_label=h_dist, movement="instant", speed_label="instant",
-            end_direction_label=t_label, end_direction_degrees=t_deg,
-            end_distance_label=t_dist, flags=tuple(flags),
-        )
-
-    move = _FROM_TO_RE.search(clause)
-    if move:
-        s_label, s_deg, s_dist = _resolve_direction_phrase(move.group("src"))
-        d_label, d_deg, d_dist = _resolve_direction_phrase(move.group("dst"))
-        if (s_label is not None or s_deg is not None) and (d_label is not None or d_deg is not None):
-            # a direction phrase before "from ... to" also ends the event
-            cue = _spatial_cut(clause)
-            start = min(move.start(), cue[0]) if cue else move.start()
-            event, spatial = _split_event(clause, (start, move.end()))
-            speed = _find_word(spatial, _SPEED_WORDS)
-            movement = "instant" if speed == "instant" else "moving"
-            if speed is None:
-                speed = "moderate"
-                flags.append("speed_defaulted")
-            return SourceAttributes(
-                event=event, direction_label=s_label, direction_degrees=s_deg,
-                distance_label=s_dist, movement=movement, speed_label=speed,
-                end_direction_label=d_label, end_direction_degrees=d_deg,
-                end_distance_label=d_dist, flags=tuple(flags),
-            )
-
-    # still source
-    event, spatial = _split_event(clause, _spatial_cut(clause))
-    label, degrees, distance = _resolve_direction_phrase(spatial)
-    if label is None and degrees is None:
+    end = (None, None, None)
+    speed = None
+    head, *tail = _INSTANT_SPLIT_RE.split(clause, maxsplit=1)
+    if tail:
+        event, spatial = _split_event(head, _cues(head))
+        start = _endpoint(spatial)
+        end = _endpoint(_split_event(tail[0], _cues(tail[0]))[1])
+        movement = speed = "instant"
+    elif found := _last_move(clause):
+        move, start, end = found
+        # a cue right before "from ... to" also ends the event
+        head = _strip_trailing(clause[:move.start()])
+        cut = next((a for a, b in _cues(head) if b == len(head)), move.start())
+        event, spatial = _split_event(clause, [(cut, move.end())])
+        speed = _find_word(spatial, _SPEED_WORDS)
+        movement = "instant" if speed == "instant" else "moving"
+        if speed is None:
+            speed = "moderate"
+            flags.append("speed_defaulted")
+    else:
+        event, spatial = _split_event(clause, _cues(clause))
+        start = _endpoint(spatial)
+        movement = "still"
+    if start[:2] == (None, None):
         flags.append("direction_unspecified")
     return SourceAttributes(
-        event=event, direction_label=label, direction_degrees=degrees,
-        distance_label=distance, movement="still", flags=tuple(flags),
+        event=event, direction_label=start[0], direction_degrees=start[1],
+        distance_label=start[2], movement=movement, speed_label=speed,
+        end_direction_label=end[0], end_direction_degrees=end[1],
+        end_distance_label=end[2], flags=tuple(flags),
     )
 
 
@@ -250,14 +253,8 @@ def parse_caption(text: str) -> AttributeRecord:
     Raises CaptionParseError when the text is empty or no clause yields a
     sound-event phrase.
     """
-    if not isinstance(text, str) or not text.strip():
-        raise CaptionParseError(f"no sound event found in caption: {text!r}")
-    size_label, body = _extract_scene_size(text.strip())
-    clauses = _split_clauses(body)
-    if not clauses:
-        raise CaptionParseError(f"no sound event found in caption: {text!r}")
-
-    sources = tuple(attrs for attrs in map(_parse_clause, clauses) if attrs.event)
+    size_label, body = _scene_size(text.strip()) if isinstance(text, str) else (None, "")
+    sources = tuple(attrs for attrs in map(_parse_clause, _split_clauses(body)) if attrs.event)
     if not sources:
         raise CaptionParseError(f"no sound event found in caption: {text!r}")
     return AttributeRecord(scene_size_label=size_label, sources=sources)
@@ -266,12 +263,6 @@ def parse_caption(text: str) -> AttributeRecord:
 # ---------------------------------------------------------------------------
 # Generation
 # ---------------------------------------------------------------------------
-_SIZE_PHRASE = {
-    "outdoors": "outdoors",
-    "large": "in a large space",
-    "moderate": "in a moderately sized space",
-    "small": "in a small space",
-}
 _ARTICLE_RE = re.compile(r"^(?:a|an|the)\s+", re.IGNORECASE)
 
 
@@ -283,9 +274,7 @@ def _degrees_text(degrees: float) -> str:
 def _endpoint_text(label, degrees, distance) -> str:
     base = (f"{_degrees_text(degrees)} degrees" if degrees is not None
             else _DIRECTION_WORDS[label][0])
-    if distance:
-        return f"{base} ({_DISTANCE_WORDS[distance][0]})"
-    return base
+    return f"{base} ({_DISTANCE_WORDS[distance][0]})" if distance else base
 
 
 def generate_caption(record: AttributeRecord, event_phrases: list[str] | None = None) -> str:
@@ -313,19 +302,15 @@ def generate_caption(record: AttributeRecord, event_phrases: list[str] | None = 
                 phrase = f"{event} {words if words in _BARE_CUES else 'on the ' + words}"
             if attrs.distance_label:
                 phrase += f", {_DISTANCE_WORDS[attrs.distance_label][0]}"
-        elif attrs.movement == "instant":
-            start = _endpoint_text(attrs.direction_label, attrs.direction_degrees,
-                                   attrs.distance_label)
-            end = _endpoint_text(attrs.end_direction_label, attrs.end_direction_degrees,
-                                 attrs.end_distance_label)
-            repeat = _ARTICLE_RE.sub("", event)
-            phrase = f"{event} at {start}, then another {repeat} at {end}"
         else:
             start = _endpoint_text(attrs.direction_label, attrs.direction_degrees,
                                    attrs.distance_label)
             end = _endpoint_text(attrs.end_direction_label, attrs.end_direction_degrees,
                                  attrs.end_distance_label)
-            phrase = f"{event} moves from {start} to {end} {_SPEED_WORDS[attrs.speed_label][0]}"
+            if attrs.movement == "instant":
+                phrase = f"{event} at {start}, then another {_ARTICLE_RE.sub('', event)} at {end}"
+            else:
+                phrase = f"{event} moves from {start} to {end} {_SPEED_WORDS[attrs.speed_label][0]}"
         parts.append(phrase)
 
     connectors = [", while ", ", as ", " and "]
@@ -333,9 +318,8 @@ def generate_caption(record: AttributeRecord, event_phrases: list[str] | None = 
     for i, part in enumerate(parts[1:]):
         text += connectors[i % len(connectors)] + part
     if record.scene_size_label:
-        text += f", {_SIZE_PHRASE[record.scene_size_label]}"
-    text = text[0].upper() + text[1:] + "."
-    return text
+        text += f", {_SIZE_WORDS[record.scene_size_label][0]}"
+    return text[0].upper() + text[1:] + "."
 
 
 def caption_labels(record: AttributeRecord) -> tuple:
@@ -349,3 +333,17 @@ def caption_labels(record: AttributeRecord) -> tuple:
         (s.direction_label, angle(s.direction_degrees), s.distance_label, s.movement,
          s.speed_label, s.end_direction_label, angle(s.end_direction_degrees),
          s.end_distance_label) for s in record.sources)
+
+
+_LABEL_NAMES = ("direction", "angle", "distance", "movement", "speed", "end direction",
+                "end angle", "end distance")
+
+
+def label_difference(parsed: AttributeRecord, stored: AttributeRecord) -> str | None:
+    """The first label whose caption_labels differ, as "<label>: parsed X,
+    stored Y"; None if they all agree."""
+    (p_size, p_sources), (s_size, s_sources) = caption_labels(parsed), caption_labels(stored)
+    pairs = [("scene size", p_size, s_size), ("source count", len(p_sources), len(s_sources))]
+    pairs += [(f"source {i} {name}", p, s) for i, sources in enumerate(zip(p_sources, s_sources), 1)
+              for name, p, s in zip(_LABEL_NAMES, *sources)]
+    return next((f"{name}: parsed {p}, stored {s}" for name, p, s in pairs if p != s), None)

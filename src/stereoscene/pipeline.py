@@ -417,8 +417,8 @@ def _validate_row(dataset_dir: Path, row: dict, report: ValidationReport) -> Non
     try:
         parsed = cap.parse_caption(row["caption"])
         stored = AttributeRecord.from_dict(meta["attributes"])
-        if cap.caption_labels(parsed) != cap.caption_labels(stored):
-            report.add(clip_id, "caption_roundtrip", "parsed labels differ from metadata")
+        if difference := cap.label_difference(parsed, stored):
+            report.add(clip_id, "caption_roundtrip", difference)
     except cap.CaptionParseError as exc:
         report.add(clip_id, "caption_parse", str(exc))
 

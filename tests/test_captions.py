@@ -83,6 +83,16 @@ def test_explicit_angle_parsing():
     assert (src.event, src.direction_degrees, src.direction_label) == ("A dog barks", 60.0, None)
 
 
+def test_every_side_anchor_signs_its_angle():
+    # "front-left" used to be no anchor, so its angle read 15 degrees
+    for label, phrases in captions._DIRECTION_WORDS.items():
+        for phrase in phrases if label != "front" else ():
+            src = parse_caption(f"A dog barks at 15 degrees to the {phrase}.").sources[0]
+            expected = 105.0 if label.endswith("left") else 75.0
+            assert (src.event, src.direction_degrees, src.direction_label) == (
+                "A dog barks", expected, None), phrase
+
+
 def test_direction_led_clauses():
     rec = parse_caption("On the left, a dog barks.")
     assert rec.sources[0].event == "a dog barks"
@@ -118,6 +128,37 @@ def test_from_to_instantly_is_instant():
         src = parse_caption(text).sources[0]
         assert (src.movement, src.speed_label) == ("instant", "instant"), text
         assert (src.direction_label, src.end_direction_label) == ("left", "right"), text
+
+
+def test_from_to_destination_keeps_its_decimal_angle():
+    for text, start in (("A siren moves from left (far away) to 20.5 degrees quickly, outdoors.",
+                         ("left", None, "far")),
+                        ("A siren moves from 10 degrees to 20.5 degrees quickly.",
+                         (None, 10.0, None))):
+        src = parse_caption(text).sources[0]
+        assert (src.event, src.movement, src.speed_label) == ("A siren", "moving", "fast"), text
+        assert (src.direction_label, src.direction_degrees, src.distance_label) == start, text
+        assert (src.end_direction_label, src.end_direction_degrees) == (None, 20.5), text
+
+
+def test_sound_stays_in_the_event():
+    assert parse_caption("A trumpet sound on the left, outdoors.").sources[0].event == \
+        "A trumpet sound"
+    rec = AttributeRecord("outdoors", (SourceAttributes(event="a noise sound",
+                                                        direction_label="left"),))
+    assert parse_caption(generate_caption(rec)).sources[0].event == "A noise sound"
+
+
+def test_event_ends_at_the_last_cue():
+    src = parse_caption("Waves in the front yard on the right side of the scene.").sources[0]
+    assert (src.event, src.direction_label) == ("Waves in the front yard", "right")
+    src = parse_caption("Waves in the front yard at left, then another waves in the front yard "
+                        "at right.").sources[0]
+    assert (src.event, src.direction_label, src.end_direction_label) == (
+        "Waves in the front yard", "left", "right")
+    src = parse_caption("Music from a radio moves from left to right quickly.").sources[0]
+    assert (src.event, src.movement, src.speed_label) == ("Music from a radio", "moving", "fast")
+    assert (src.direction_label, src.end_direction_label) == ("left", "right")
 
 
 def test_direction_phrase_before_from_to_ends_the_event():
@@ -178,6 +219,29 @@ def test_scene_size_keywords():
     assert parse_caption("A dog barks on the left, outdoors.").scene_size_label == "outdoors"
     assert parse_caption("A dog barks on the left, in a small space.").scene_size_label == "small"
     assert parse_caption("A dog barks on the left.").scene_size_label is None
+
+
+def test_every_size_phrase_parses_to_its_label_at_either_end():
+    for label, phrases in captions._SIZE_WORDS.items():
+        for phrase in phrases:
+            for text in (f"A dog barks on the left, {phrase}.",
+                         f"A dog barks on the left {phrase}.",
+                         f"{phrase.capitalize()}, a dog barks on the left."):
+                rec = parse_caption(text)
+                src = rec.sources[0]
+                assert (rec.scene_size_label, src.event.lower(), src.direction_label) == (
+                    label, "a dog barks", "left"), text
+    assert parse_caption("A dog barks on the left, in a large room.").scene_size_label == "large"
+
+
+def test_size_words_inside_the_caption_are_event_words():
+    rec = parse_caption("Outdoor birds on the left side of the scene, close by, in a small space.")
+    assert (rec.scene_size_label, rec.sources[0].event) == ("small", "Outdoor birds")
+    rec = parse_caption("A dog barks outside the house on the left.")
+    assert (rec.scene_size_label, rec.sources[0].event) == (None, "A dog barks outside the house")
+    assert rec.sources[0].direction_label == "left"
+    rec = parse_caption("A hall clock ticks on the right, in a moderately sized space.")
+    assert (rec.scene_size_label, rec.sources[0].event) == ("moderate", "A hall clock ticks")
 
 
 def test_empty_caption_errors():
@@ -286,8 +350,13 @@ def _labels(rec):
 
 
 def _random_records(seed: int, events: list[str], n: int):
-    """``n`` seeded random records of one to four sources drawing on ``events``."""
+    """``n`` seeded random records of one to four sources drawing on ``events``;
+    angles, start and end, hold one to six significant digits, whole or
+    fractional."""
     import random
+
+    def angle():
+        return min(float(f"{random.uniform(0, 180):.{random.randint(1, 6)}g}"), 180.0)
 
     random.seed(seed)
     for _ in range(n):
@@ -298,14 +367,14 @@ def _random_records(seed: int, events: list[str], n: int):
             kw = dict(
                 event=random.choice(events),
                 direction_label=None if use_deg else random.choice(DIRECTION_LABELS),
-                direction_degrees=float(random.randint(0, 180)) if use_deg else None,
+                direction_degrees=angle() if use_deg else None,
                 distance_label=random.choice([None, *DISTANCE_LABELS]),
                 movement=movement,
             )
             if movement != "still":
                 end_deg = random.random() < 0.25
                 kw["end_direction_label"] = None if end_deg else random.choice(DIRECTION_LABELS)
-                kw["end_direction_degrees"] = float(random.randint(0, 180)) if end_deg else None
+                kw["end_direction_degrees"] = angle() if end_deg else None
                 kw["end_distance_label"] = random.choice([None, *DISTANCE_LABELS])
                 kw["speed_label"] = ("instant" if movement == "instant"
                                      else random.choice(["slow", "moderate", "fast"]))
@@ -385,3 +454,33 @@ def test_roundtrip_with_lexicon_words_in_events():
         back = parse_caption(text)
         assert _labels(back) == _labels(rec), text
         assert [s.event.lower() for s in back.sources] == [s.event for s in rec.sources], text
+
+
+# events that hold size words, "sound", a direction cue or "from"
+PHRASE_EVENTS = ["outdoor birds", "a hall clock ticking", "a small room fan", "traffic outside",
+                 "an open air concert", "a tiny space heater", "a trumpet sound", "a noise sound",
+                 "waves in the front yard", "music from a radio"]
+
+
+def test_roundtrip_with_size_words_and_cues_in_events():
+    for rec in _random_records(11, PHRASE_EVENTS, 1000):
+        text = generate_caption(rec)
+        back = parse_caption(text)
+        assert _labels(back) == _labels(rec), text
+        assert [s.event[:1].lower() + s.event[1:] for s in back.sources] == \
+            [s.event for s in rec.sources], text
+
+
+def test_label_difference_names_the_first_label_that_differs():
+    def record(size, *directions):
+        return AttributeRecord(size, tuple(SourceAttributes(event="a dog", direction_label=d)
+                                           for d in directions))
+
+    assert captions.label_difference(record("small", "left"), record("small", "left")) is None
+    assert captions.label_difference(record("large", "left"), record("small", "right")) == \
+        "scene size: parsed large, stored small"
+    assert captions.label_difference(record(None, "left"), record(None, "left", "right")) == \
+        "source count: parsed 1, stored 2"
+    assert captions.label_difference(record(None, "left", "front"),
+                                     record(None, "left", "right")) == \
+        "source 2 direction: parsed front, stored right"

@@ -60,6 +60,36 @@ def angle_tree(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def phrase_tree(tmp_path_factory):
+    """A 2 s tree whose captions hold size words and a decimal end angle: an SS
+    clip named after ``outdoor_birds.wav`` in a small room, an SS clip whose
+    event holds "hall" in a moderate room, and an outdoor SD clip that ends
+    at 20.5 degrees."""
+    d = tmp_path_factory.mktemp("validate-phrases")
+    birds = d / "outdoor_birds.wav"
+    write_wav(birds, AudioBuffer(np.random.default_rng(7).standard_normal(16000 * 3) * 0.3, 16000))
+    entries = [
+        {"id": "birds", "subset": "SS", "audio": str(birds),
+         "attributes": {"scene_size": "small", "sources": [
+             {"direction_label": "left", "distance_label": "near"}]}},
+        {"id": "clock", "subset": "SS", "audio": str(birds),
+         "attributes": {"scene_size": "moderate", "sources": [
+             {"event": "a hall clock ticking", "direction_label": "right",
+              "distance_label": "far"}]}},
+        {"id": "siren", "subset": "SD", "audio": str(birds),
+         "attributes": {"scene_size": "outdoors", "sources": [
+             {"event": "a siren", "direction_label": "left", "distance_label": "far",
+              "movement": "moving", "speed_label": "fast", "end_direction_degrees": 20.5}]}},
+    ]
+    manifest = d / "m.jsonl"
+    manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    out = d / "tree"
+    index = synthesize(read_manifest(manifest), out, global_seed=3, duration=2.0)
+    assert not index.failures
+    return out
+
+
 def _violations(tree, tmp_path, plant) -> list[dict]:
     """The violations of a copy of ``tree`` that ``plant`` damaged."""
     broken = tmp_path / "broken"
@@ -92,6 +122,21 @@ def test_tiny_angle_tree_validates_clean(angle_tree):
     assert [c.split(" degrees")[0] for c in captions] == ["A hum at 0.00001", "A hum at 0.00000025"]
     report = validate(angle_tree)
     assert report.checked == 2
+    assert report.ok, report.violations
+
+
+def test_size_words_and_decimal_end_angles_validate_clean(phrase_tree):
+    # the first two captions used to parse as outdoors and large, the third as
+    # a still source at 20.5 degrees
+    captions = [row["caption"] for row in DatasetIndex.load(phrase_tree / "index.jsonl").rows]
+    assert captions == [
+        "Outdoor birds on the left side of the scene, close by, in a small space.",
+        "A hall clock ticking on the right side of the scene, far away, in a moderately sized "
+        "space.",
+        "A siren moves from left (far away) to 20.5 degrees quickly, outdoors.",
+    ]
+    report = validate(phrase_tree)
+    assert report.checked == 3
     assert report.ok, report.violations
 
 
@@ -129,6 +174,22 @@ def test_caption_with_other_labels_flagged(tree, tmp_path, caption):
         _set_caption(root, "out", caption)
 
     assert _kinds(_violations(tree, tmp_path, plant)) == [("out", "caption_roundtrip")]
+
+
+@pytest.mark.parametrize("caption, detail", [
+    ("A dog barks on the left, in a small space.", "scene size: parsed small, stored outdoors"),
+    ("A dog barks on the right, outdoors.", "source 1 direction: parsed right, stored left"),
+    ("A dog barks on the left, far away, outdoors.",
+     "source 1 distance: parsed far, stored near"),
+], ids=["scene-size", "direction", "distance"])
+def test_caption_roundtrip_names_the_first_label_that_differs(tree, tmp_path, caption, detail):
+    stored = json.loads((tree / "out.json").read_text())["attributes"]["sources"][0]
+    assert (stored["direction_label"], stored["distance_label"]) == ("left", "near")
+
+    def plant(root):
+        _set_caption(root, "out", caption)
+
+    assert [v["detail"] for v in _violations(tree, tmp_path, plant)] == [detail]
 
 
 def test_caption_with_another_angle_flagged(angle_tree, tmp_path):
